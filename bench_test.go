@@ -1,9 +1,12 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (§8), plus the ablation benches called out in
-// DESIGN.md §4. Each bench wraps the corresponding runner in
-// internal/experiments at a reduced default scale; the cmd/ tools run the
-// same code at paper scale and print the full tables (see EXPERIMENTS.md
-// for paper-vs-measured shapes).
+// paper's evaluation (§8), plus ablation benches for the design choices
+// (δ switch, merge strategy, scratch reuse, quantization, bucketing,
+// network profile, observability overhead). Each bench wraps the
+// corresponding runner in internal/experiments at a reduced default
+// scale; the cmd/ tools run the same code at paper scale and print the
+// full tables (docs/ARCHITECTURE.md describes both layers).
+// Simulated-time benches report simµs/op; wall-clock performance of the
+// collectives is measured by the separate wallbench module.
 //
 // Run everything:  go test -bench=. -benchmem
 package sparcml

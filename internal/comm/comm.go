@@ -31,8 +31,13 @@ type Message struct {
 	Src int
 	// Tag disambiguates concurrent protocols (MPI-style).
 	Tag int
-	// Payload is the application data. Ownership transfers to the receiver:
-	// senders must not mutate a payload after sending.
+	// Payload is the application data. Ownership transfers to the
+	// receiver: the sender must not mutate a payload after sending. A
+	// receiver that forwards a payload (or parts of it) in a later message
+	// and keeps it must treat it as read-only from then on, and so must
+	// every later receiver — on the simulator all of them share one copy
+	// by reference (0 copies). The real transports deliver a private copy:
+	// goroutine 1 encode + 1 decode, TCP 1 frame + 1 decode.
 	Payload any
 	// Bytes is the modeled wire size used by the α–β cost model.
 	Bytes int

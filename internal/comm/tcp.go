@@ -135,18 +135,19 @@ func (t *tcpTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	if ep == nil {
 		panic(fmt.Sprintf("comm: rank %d is not local to this process", p.rank))
 	}
-	body := make([]byte, 0, msgHeaderBytes+64)
-	body = append(body, frameMsg)
-	body = binary.LittleEndian.AppendUint32(body, uint32(p.rank))
-	body = binary.LittleEndian.AppendUint64(body, uint64(int64(tag)))
-	body = binary.LittleEndian.AppendUint64(body, uint64(int64(bytes)))
-	body, err := appendPayload(body, payload)
+	// The whole frame — length prefix, header, payload — is encoded once
+	// into one buffer of its exact size and written as is.
+	frame := newFrame(frameMsg, msgHeaderBytes-1+payloadSize(payload))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(p.rank))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(tag)))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(bytes)))
+	frame, err := appendPayload(frame, payload)
 	if err != nil {
 		panic(fmt.Sprintf("comm: tcp transport payload: %v", err))
 	}
 	c, err := ep.connTo(dst)
 	if err == nil {
-		err = c.writeFrame(body)
+		err = c.writeFrame(frame)
 	}
 	if err != nil {
 		t.w.poison()
@@ -177,9 +178,7 @@ func (ep *tcpEndpoint) connTo(dst int) (*tcpConn, error) {
 	}
 	ep.t.track(conn)
 	c := &tcpConn{c: conn}
-	hello := make([]byte, 0, 5)
-	hello = append(hello, frameHello)
-	hello = binary.LittleEndian.AppendUint32(hello, uint32(ep.rank))
+	hello := binary.LittleEndian.AppendUint32(newFrame(frameHello, 4), uint32(ep.rank))
 	if err := c.writeFrame(hello); err != nil {
 		conn.Close()
 		return nil, err
@@ -195,14 +194,22 @@ func (t *tcpTransport) dialTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// writeFrame writes one length-prefixed frame as a single Write.
-func (c *tcpConn) writeFrame(body []byte) error {
-	buf := make([]byte, 4+len(body))
-	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+// newFrame starts a frame of the given kind: the 4-byte length prefix is
+// reserved at the front (writeFrame fills it in), and the buffer has room
+// for bodyCap more bytes after the kind byte.
+func newFrame(kind byte, bodyCap int) []byte {
+	frame := make([]byte, 5, 5+bodyCap)
+	frame[4] = kind
+	return frame
+}
+
+// writeFrame fills in the length prefix of a frame built by newFrame and
+// writes the frame as a single Write, without copying it.
+func (c *tcpConn) writeFrame(frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.c.Write(buf)
+	_, err := c.c.Write(frame)
 	return err
 }
 
@@ -348,10 +355,9 @@ func (r *registrar) fail(err error) {
 	}
 }
 
-// encodeTable builds a frameTable body from the completed address table.
+// encodeTable builds a frameTable frame from the completed address table.
 func encodeTable(addrs []string) []byte {
-	body := make([]byte, 0, 5+len(addrs)*24)
-	body = append(body, frameTable)
+	body := newFrame(frameTable, 4+len(addrs)*24)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(addrs)))
 	for _, a := range addrs {
 		body = binary.LittleEndian.AppendUint16(body, uint16(len(a)))
@@ -360,12 +366,15 @@ func encodeTable(addrs []string) []byte {
 	return body
 }
 
-// decodeTable reverses encodeTable.
+// decodeTable parses a frameTable body (as readFrame returns it).
 func decodeTable(body []byte) ([]string, error) {
 	if len(body) < 5 || body[0] != frameTable {
 		return nil, fmt.Errorf("comm: tcp rendezvous: malformed table frame")
 	}
 	p := int(binary.LittleEndian.Uint32(body[1:]))
+	if p > (len(body)-5)/2 {
+		return nil, fmt.Errorf("comm: tcp rendezvous: truncated table frame")
+	}
 	addrs := make([]string, p)
 	off := 5
 	for i := 0; i < p; i++ {
@@ -459,12 +468,11 @@ func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
 			return fail(fmt.Errorf("comm: tcp rendezvous dial for rank %d: %w", r, err))
 		}
 		t.track(conn)
-		body := make([]byte, 0, 5+len(t.eps[r].ln.Addr().String()))
-		body = append(body, frameRegister)
-		body = binary.LittleEndian.AppendUint32(body, uint32(r))
-		body = append(body, t.eps[r].ln.Addr().String()...)
+		addr := t.eps[r].ln.Addr().String()
+		frame := binary.LittleEndian.AppendUint32(newFrame(frameRegister, 4+len(addr)), uint32(r))
+		frame = append(frame, addr...)
 		tc := &tcpConn{c: conn}
-		if err := tc.writeFrame(body); err != nil {
+		if err := tc.writeFrame(frame); err != nil {
 			return fail(fmt.Errorf("comm: tcp rendezvous register rank %d: %w", r, err))
 		}
 		regConns[r] = conn

@@ -5,15 +5,25 @@ import "fmt"
 // Transport is the execution backend behind Proc.Send/Recv/SendRecv/
 // Barrier: it decides how a message's payload reaches the destination
 // rank's mailbox and what the recorded timestamps mean. Three backends are
-// provided, selected per World:
+// provided, selected per World, and each copies a payload a fixed number
+// of times:
 //
 //   - the simulator (default): single-process, payloads handed over by
-//     reference, per-rank virtual clocks advanced by the α–β model;
+//     reference (0 copies), per-rank virtual clocks advanced by the α–β
+//     model;
 //   - goroutine (World.UseGoroutineTransport): single-process, one truly
 //     concurrent goroutine per rank, payloads deep-copied through the wire
-//     codec, measured wall-clock timestamps;
-//   - TCP (NewWorldTCP): one or more OS processes, payloads framed over
-//     sockets, measured wall-clock timestamps.
+//     codec (1 encode into an exact-size buffer + 1 decode), measured
+//     wall-clock timestamps;
+//   - TCP (NewWorldTCP): one or more OS processes, each message encoded
+//     once into one exact-size length-prefixed frame written with a
+//     single Write, then decoded by the receiver (1 frame + 1 decode),
+//     measured wall-clock timestamps.
+//
+// Because the simulator shares payloads by reference, the sender must not
+// mutate a payload after Send, and a payload a receiver forwards (whole or
+// in parts) and keeps is read-only for it and every later receiver (see
+// Message.Payload).
 //
 // The interface is sealed (its send/close methods are unexported):
 // backends live in this package because they are entangled with mailbox
@@ -56,10 +66,11 @@ func (simTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 
 // goroutineTransport is the in-process real backend: ranks run truly
 // concurrently and every payload is deep-copied through the wire codec
-// before delivery — real per-byte serialization work, so the recorded
-// (measured) transfer times carry a genuine α–β signal for the link
-// calibrator, and the codec is exercised on every single message exactly
-// as the TCP backend would use it.
+// before delivery — one encode into a buffer of the exact encoded size,
+// one decode out of it. That is real per-byte serialization work, so the
+// recorded (measured) transfer times carry a genuine α–β signal for the
+// link calibrator, the codec is exercised on every single message exactly
+// as the TCP backend would use it, and ranks never share storage.
 type goroutineTransport struct{}
 
 // Name identifies the backend.

@@ -14,10 +14,12 @@ import (
 )
 
 // TestPayloadCodecRoundTrip: every payload type a collective sends must
-// survive the wire codec deeply equal, sharing no storage with the input.
+// survive the wire codec deeply equal, sharing no storage with the input,
+// and payloadSize must predict its encoded length exactly.
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	sv := stream.NewSparse(100, []int32{3, 17, 99}, []float64{1.5, -2.25, 0.125}, stream.OpSum)
 	dv := stream.NewDense(make([]float64, 40), stream.OpMax)
+	empty := stream.NewSparse(100, nil, nil, stream.OpSum)
 	qc := quant.Config{Bits: 4, Bucket: 16, Norm: quant.NormMax}
 	qv := quant.Encode([]float64{1, -2, 3, -4, 5, 6, 7, 8}, qc, rand.New(rand.NewSource(1)))
 
@@ -38,8 +40,18 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		-3.75,
 		"hello",
 		[]byte{1, 2, 3},
+		[]*stream.Vector{},
+		[]*stream.Vector{empty},
+		[]*stream.Vector{sv, dv, empty},
 	}
 	for i, in := range cases {
+		enc, err := appendPayload(nil, in)
+		if err != nil {
+			t.Fatalf("case %d (%T): %v", i, in, err)
+		}
+		if got := payloadSize(in); got != len(enc) {
+			t.Fatalf("case %d (%T): payloadSize %d, encoding is %d bytes", i, in, got, len(enc))
+		}
 		out, err := copyPayload(in)
 		if err != nil {
 			t.Fatalf("case %d (%T): %v", i, in, err)
@@ -77,6 +89,49 @@ func TestPayloadCodecRejectsGarbage(t *testing.T) {
 	if _, err := appendPayload(nil, struct{ X int }{1}); err == nil {
 		t.Fatalf("unregistered type encoded")
 	}
+	if _, err := appendPayload(nil, []*stream.Vector{nil}); err == nil {
+		t.Fatalf("nil vector list entry encoded")
+	}
+	// A container count larger than the remaining bytes could hold is
+	// rejected before it sizes an allocation.
+	for _, id := range []byte{wireFloatss, wireFloatMap, wireQuantSlice, wireQuantMap, wireVectors} {
+		frame := append([]byte{id, 0, 0, 0, 0x95}, make([]byte, 16)...)
+		if _, err := decodePayload(frame); err == nil {
+			t.Fatalf("type %d: a count of 0x95000000 in a 21-byte frame decoded", id)
+		}
+	}
+}
+
+// FuzzDecodePayload: no byte string may crash the decoder (bytes arrive
+// from other processes on the TCP backend), and whatever it accepts must
+// re-encode to exactly payloadSize bytes. testdata/fuzz holds the 21-byte
+// frame whose wireFloatss count once sized a fatal allocation.
+func FuzzDecodePayload(f *testing.F) {
+	sv := stream.NewSparse(50, []int32{1, 7}, []float64{2, -3}, stream.OpSum)
+	qv := quant.Encode([]float64{1, -2, 3, -4}, quant.Config{Bits: 2, Bucket: 4, Norm: quant.NormMax},
+		rand.New(rand.NewSource(1)))
+	for _, v := range []any{nil, []float64{1}, [][]float64{{1}, nil}, map[int][]float64{3: {1}},
+		sv, []*stream.Vector{sv, stream.NewDense([]float64{1, 2}, stream.OpSum)},
+		qv, []*quant.Quantized{qv, nil}, map[int]*quant.Quantized{1: qv}, 5, 2.5, "s", []byte{9}} {
+		enc, err := appendPayload(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodePayload(data)
+		if err != nil {
+			return
+		}
+		enc, err := appendPayload(nil, v)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		if len(enc) != payloadSize(v) {
+			t.Fatalf("decoded %T: payloadSize %d, encoding is %d bytes", v, payloadSize(v), len(enc))
+		}
+	})
 }
 
 // exchangeRing is the test program both real backends run: every rank

@@ -19,15 +19,20 @@ import (
 // backend frames exactly these bytes onto sockets.
 //
 // Every payload type a collective sends is supported: nil (barriers),
-// dense slices and their allgather containers, sparse stream vectors
-// (reconstructed field-exact via stream.AppendWire/DecodeWire, which is
-// what keeps results bit-identical across transports), and quantized
-// vectors (quant.Marshal/Unmarshal). Packages with private payload types
-// extend the codec with RegisterPayloadCodec.
+// dense slices and their allgather containers, sparse stream vectors and
+// lists of them (reconstructed field-exact via stream.AppendWire/
+// DecodeWire, which is what keeps results bit-identical across
+// transports), and quantized vectors (quant.AppendMarshal/Unmarshal).
+// Packages with private payload types extend the codec with
+// RegisterPayloadCodec.
 //
 // Wire form (little endian): one type-id byte followed by a type-specific
 // body. A message frame carries exactly one payload, so decoders consume
-// the whole buffer.
+// the whole buffer. payloadSize gives the exact encoded length of every
+// built-in type, so a sender encodes each message once into a buffer of
+// exactly that size. The bytes may come from another process, so every
+// decoded element count is checked against the bytes remaining before
+// anything is allocated from it.
 
 // Payload type ids.
 const (
@@ -46,7 +51,12 @@ const (
 	wireRegistered byte = 12 // name-tagged type from RegisterPayloadCodec
 	wireVectorNil  byte = 13 // typed nil *stream.Vector
 	wireQuantNil   byte = 14 // typed nil *quant.Quantized
+	wireVectors    byte = 15 // []*stream.Vector (no nil entries)
 )
+
+// minVectorWire is the shortest stream vector encoding (an empty sparse
+// vector's header), the per-entry lower bound of a wireVectors count.
+var minVectorWire = stream.Zero(1, stream.OpSum).WireSize()
 
 // PayloadCodec serializes one application payload type for the real
 // transports. Append writes v's body to buf and returns the extended
@@ -85,13 +95,80 @@ func RegisterPayloadCodec(name string, c PayloadCodec) {
 
 // copyPayload round-trips a payload through the codec, producing a deep
 // copy that shares no storage with the original — the goroutine
-// transport's per-message handover.
+// transport's per-message handover: one encode into a buffer of the exact
+// size, one decode out of it.
 func copyPayload(v any) (any, error) {
-	buf, err := appendPayload(nil, v)
+	buf, err := appendPayload(make([]byte, 0, payloadSize(v)), v)
 	if err != nil {
 		return nil, err
 	}
 	return decodePayload(buf)
+}
+
+// payloadSize returns the length appendPayload appends for v. It is exact
+// for every built-in payload type and 0 for a registered type, whose
+// codec has no size function.
+func payloadSize(v any) int {
+	switch x := v.(type) {
+	case nil:
+		return 1
+	case []float64:
+		return 1 + floatsSize(x)
+	case [][]float64:
+		n := 1 + 4 + len(x)
+		for _, inner := range x {
+			if inner != nil {
+				n += floatsSize(inner)
+			}
+		}
+		return n
+	case map[int][]float64:
+		n := 1 + 4
+		for _, xs := range x {
+			n += 8 + floatsSize(xs)
+		}
+		return n
+	case *stream.Vector:
+		if x == nil {
+			return 1
+		}
+		return 1 + x.WireSize()
+	case []*stream.Vector:
+		n := 1 + 4
+		for _, v := range x {
+			if v != nil {
+				n += v.WireSize()
+			}
+		}
+		return n
+	case *quant.Quantized:
+		if x == nil {
+			return 1
+		}
+		return 1 + 4 + x.MarshalSize()
+	case []*quant.Quantized:
+		n := 1 + 4 + len(x)
+		for _, q := range x {
+			if q != nil {
+				n += 4 + q.MarshalSize()
+			}
+		}
+		return n
+	case map[int]*quant.Quantized:
+		n := 1 + 4
+		for _, q := range x {
+			n += 8 + 4 + q.MarshalSize()
+		}
+		return n
+	case int, float64:
+		return 1 + 8
+	case string:
+		return 1 + 4 + len(x)
+	case []byte:
+		return 1 + 4 + len(x)
+	default:
+		return 0 // registered type: the buffer grows by append
+	}
 }
 
 // appendPayload serializes one payload (type id + body) onto buf.
@@ -128,12 +205,22 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 		}
 		buf = append(buf, wireVector)
 		return x.AppendWire(buf), nil
+	case []*stream.Vector:
+		buf = append(buf, wireVectors)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
+		for _, v := range x {
+			if v == nil {
+				return nil, fmt.Errorf("comm: nil entry in a []*stream.Vector payload")
+			}
+			buf = v.AppendWire(buf)
+		}
+		return buf, nil
 	case *quant.Quantized:
 		if x == nil {
 			return append(buf, wireQuantNil), nil
 		}
 		buf = append(buf, wireQuantized)
-		return appendSized(buf, x.Marshal()), nil
+		return appendQuant(buf, x), nil
 	case []*quant.Quantized:
 		buf = append(buf, wireQuantSlice)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
@@ -143,7 +230,7 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 				continue
 			}
 			buf = append(buf, 1)
-			buf = appendSized(buf, q.Marshal())
+			buf = appendQuant(buf, q)
 		}
 		return buf, nil
 	case map[int]*quant.Quantized:
@@ -151,7 +238,7 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
 		for _, k := range sortedKeys(x) {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(k)))
-			buf = appendSized(buf, x[k].Marshal())
+			buf = appendQuant(buf, x[k])
 		}
 		return buf, nil
 	case int:
@@ -179,8 +266,11 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 		}
 		buf = append(buf, wireRegistered)
 		buf = appendSized(buf, []byte(name))
-		body := c.Append(nil, v)
-		return appendSized(buf, body), nil
+		// Reserve the body's length prefix and encode in place.
+		at := len(buf)
+		buf = c.Append(append(buf, 0, 0, 0, 0), v)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		return buf, nil
 	}
 }
 
@@ -204,10 +294,10 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return xs, checkDrained(body, n)
 	case wireFloatss:
-		if len(body) < 4 {
-			return nil, errTruncated
+		count, err := readCount(body, 1)
+		if err != nil {
+			return nil, err
 		}
-		count := int(binary.LittleEndian.Uint32(body))
 		off := 4
 		out := make([][]float64, count)
 		for i := 0; i < count; i++ {
@@ -228,10 +318,10 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return out, checkDrained(body, off)
 	case wireFloatMap:
-		if len(body) < 4 {
-			return nil, errTruncated
+		count, err := readCount(body, 8+4)
+		if err != nil {
+			return nil, err
 		}
-		count := int(binary.LittleEndian.Uint32(body))
 		off := 4
 		out := make(map[int][]float64, count)
 		for i := 0; i < count; i++ {
@@ -254,6 +344,22 @@ func decodePayload(data []byte) (any, error) {
 			return nil, err
 		}
 		return v, checkDrained(body, n)
+	case wireVectors:
+		count, err := readCount(body, minVectorWire)
+		if err != nil {
+			return nil, err
+		}
+		off := 4
+		out := make([]*stream.Vector, count)
+		for i := range out {
+			v, n, err := stream.DecodeWire(body[off:])
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+			off += n
+		}
+		return out, checkDrained(body, off)
 	case wireQuantized:
 		b, n, err := readSized(body)
 		if err != nil {
@@ -265,10 +371,10 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return q, checkDrained(body, n)
 	case wireQuantSlice:
-		if len(body) < 4 {
-			return nil, errTruncated
+		count, err := readCount(body, 1)
+		if err != nil {
+			return nil, err
 		}
-		count := int(binary.LittleEndian.Uint32(body))
 		off := 4
 		out := make([]*quant.Quantized, count)
 		for i := 0; i < count; i++ {
@@ -293,10 +399,10 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return out, checkDrained(body, off)
 	case wireQuantMap:
-		if len(body) < 4 {
-			return nil, errTruncated
+		count, err := readCount(body, 8+4)
+		if err != nil {
+			return nil, err
 		}
-		count := int(binary.LittleEndian.Uint32(body))
 		off := 4
 		out := make(map[int]*quant.Quantized, count)
 		for i := 0; i < count; i++ {
@@ -372,6 +478,30 @@ func checkDrained(body []byte, consumed int) error {
 		return fmt.Errorf("comm: payload frame has %d trailing bytes", len(body)-consumed)
 	}
 	return nil
+}
+
+// readCount reads the uint32 element count at the front of body and
+// rejects it unless the rest of body could hold that many elements of at
+// least minBytes each — the check that keeps a corrupt or hostile frame
+// from sizing an allocation.
+func readCount(body []byte, minBytes int) (int, error) {
+	if len(body) < 4 {
+		return 0, errTruncated
+	}
+	count := int(binary.LittleEndian.Uint32(body))
+	if count > (len(body)-4)/minBytes {
+		return 0, errTruncated
+	}
+	return count, nil
+}
+
+// floatsSize is the length appendFloats appends for xs.
+func floatsSize(xs []float64) int { return 4 + 8*len(xs) }
+
+// appendQuant writes a length-prefixed quantized vector.
+func appendQuant(buf []byte, q *quant.Quantized) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.MarshalSize()))
+	return q.AppendMarshal(buf)
 }
 
 // appendFloats writes a length-prefixed float64 slice.

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 
 	"repro/internal/comm"
@@ -266,37 +267,38 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 // recursive doubling with concatenation; every rank returns the union.
 // Also used directly for the SCD experiment (§8.2) where nodes contribute
 // disjoint coordinate blocks. Non-power-of-two worlds fold as usual.
+//
+// Nothing is concatenated along the way: each stage sends the list of
+// pieces gathered so far and appends the peer's list to it, and the
+// union is built once at the end (concatGather). Charges and modeled
+// message sizes are those of the chained concatenation.
 func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	acc := mine.CloneInto(sc)
 	rank, P := p.Rank(), p.Size()
+	g := gatherFrom(mine.CloneInto(sc), P)
 	p2 := largestPow2(P)
 	rem := P - p2
 
 	if rem > 0 {
 		if rank >= p2 {
-			p.Send(rank-p2, base, acc, acc.WireBytes())
-			// The peer sends a dedicated clone back: adopt it.
-			return p.Recv(rank-p2, base+1).Payload.(*stream.Vector)
+			p.Send(rank-p2, base, g.list(), g.wireBytes())
+			// The peer sends back every piece: assemble them.
+			return concatPieces(p.Recv(rank-p2, base+1).Payload.([]*stream.Vector), sc)
 		}
 		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.(*stream.Vector)
-			concatCharged(p, acc, in)
-			sc.Release(in)
+			g.fold(p, p.Recv(rank+p2, base).Payload.([]*stream.Vector))
 		}
 	}
 
 	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
 		peer := rank ^ dist
-		m := p.SendRecv(peer, base+2+stage, acc.CloneInto(sc), acc.WireBytes())
-		in := m.Payload.(*stream.Vector)
-		concatCharged(p, acc, in)
-		sc.Release(in)
+		m := p.SendRecv(peer, base+2+stage, g.list(), g.wireBytes())
+		g.fold(p, m.Payload.([]*stream.Vector))
 	}
 
 	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, acc.CloneInto(sc), acc.WireBytes())
+		p.Send(rank+p2, base+1, g.list(), g.wireBytes())
 	}
-	return acc
+	return concatPieces(g.pieces, sc)
 }
 
 func concatCharged(p *comm.Proc, acc, in *stream.Vector) {
@@ -308,6 +310,159 @@ func concatCharged(p *comm.Proc, acc, in *stream.Vector) {
 	}
 	p.Compute(prof.SparseMergeTime(acc.NNZ() + in.NNZ()))
 	acc.Concat(in)
+}
+
+// concatGather collects vectors with pairwise-disjoint supports for one
+// concatenation at the end (concatPieces), instead of concatenating them
+// into an accumulator fold by fold. It tracks the representation that
+// chained concatCharged folds would have built — the support size, and
+// whether it went dense (once any piece is dense or the support exceeds
+// δ) — so each fold charges exactly what concatCharged charges and the
+// modeled wire size of the gathered pieces is the accumulator's. Pieces
+// are read-only once gathered: on the simulator they are shared by
+// reference with the ranks that sent or received them, so they are never
+// released into a Scratch. All pieces share one dimension, operation, δ
+// and value-byte setting, as every collective's inputs do.
+type concatGather struct {
+	pieces []*stream.Vector
+	n      int
+	delta  int
+	vbytes int
+	concatState
+}
+
+// concatState is the representation of a chained concatenation.
+type concatState struct {
+	nnz   int
+	dense bool
+}
+
+// stateOf returns the representation chained concatenation of pieces, in
+// order, ends in.
+func stateOf(pieces []*stream.Vector, delta int) concatState {
+	var s concatState
+	for i, v := range pieces {
+		in := concatState{dense: v.IsDense()}
+		if !in.dense {
+			in.nnz = v.NNZ()
+		}
+		if i == 0 {
+			s = in
+			continue
+		}
+		s = s.then(in, delta)
+	}
+	return s
+}
+
+// then is the representation after concatenating in onto s: Concat
+// densifies past δ, and Add with a dense operand is dense.
+func (s concatState) then(in concatState, delta int) concatState {
+	if s.dense || in.dense {
+		return concatState{dense: true}
+	}
+	nnz := s.nnz + in.nnz
+	return concatState{nnz: nnz, dense: nnz > delta}
+}
+
+// gatherFrom starts a gather whose accumulator is first (uncharged, like
+// the chained accumulator's initial clone), with room for capacity pieces.
+func gatherFrom(first *stream.Vector, capacity int) *concatGather {
+	g := &concatGather{
+		pieces: append(make([]*stream.Vector, 0, capacity), first),
+		n:      first.Dim(), delta: first.Delta(), vbytes: first.ValueBytes(),
+	}
+	g.concatState = stateOf(g.pieces, g.delta)
+	return g
+}
+
+// fold gathers the pieces of one received message (the sender's
+// accumulator as a piece list) and charges what concatCharged charges for
+// folding that accumulator into this one.
+func (g *concatGather) fold(p *comm.Proc, ins []*stream.Vector) {
+	in := stateOf(ins, g.delta)
+	prof := p.Profile()
+	if g.dense || in.dense {
+		p.Compute(prof.DenseReduceTime(g.n))
+	} else {
+		p.Compute(prof.SparseMergeTime(g.nnz + in.nnz))
+	}
+	g.concatState = g.then(in, g.delta)
+	g.pieces = append(g.pieces, ins...)
+}
+
+// foldEach folds each of pieces in turn, as one chained concatCharged
+// per piece.
+func (g *concatGather) foldEach(p *comm.Proc, pieces []*stream.Vector) {
+	for i := range pieces {
+		g.fold(p, pieces[i:i+1])
+	}
+}
+
+// list returns the gathered pieces as a message payload. The slice is
+// capped at its length, so this rank's later folds never write into
+// storage a receiver can see.
+func (g *concatGather) list() []*stream.Vector {
+	return g.pieces[:len(g.pieces):len(g.pieces)]
+}
+
+// wireBytes is the modeled wire size of the accumulator (Vector.WireBytes
+// of the chained concatenation).
+func (g *concatGather) wireBytes() int {
+	if g.dense {
+		return stream.HeaderBytes + g.n*g.vbytes
+	}
+	return stream.HeaderBytes + g.nnz*(stream.IndexBytes+g.vbytes)
+}
+
+// concatPieces concatenates disjoint pieces into one new vector without
+// consuming them, in the representation chained concatenation reaches. A
+// single piece is returned as is. Otherwise the pieces are ordered by
+// first index and joined by one stream.ConcatChunks; sparse pieces whose
+// supports interleave (SparseAllgather contributions may) fall back to
+// the chained Concat, which merges them.
+func concatPieces(pieces []*stream.Vector, sc *stream.Scratch) *stream.Vector {
+	if len(pieces) == 1 {
+		return pieces[0]
+	}
+	// Sort a copy: on the simulator the list may be a peer's too.
+	sorted := append([]*stream.Vector(nil), pieces...)
+	sort.Slice(sorted, func(i, j int) bool { return firstIndex(sorted[i]) < firstIndex(sorted[j]) })
+	if !stateOf(sorted, sorted[0].Delta()).dense && interleaved(sorted) {
+		out := sorted[0].CloneInto(sc)
+		for _, v := range sorted[1:] {
+			out.Concat(v)
+		}
+		return out
+	}
+	return stream.ConcatChunks(sorted, sc)
+}
+
+// firstIndex is a sparse piece's smallest index, -1 for empty or dense
+// pieces (where order does not matter).
+func firstIndex(v *stream.Vector) int32 {
+	if v.IsDense() || v.NNZ() == 0 {
+		return -1
+	}
+	idx, _ := v.Pairs()
+	return idx[0]
+}
+
+// interleaved reports whether sparse pieces, sorted by first index, have
+// supports that are not in strictly ascending, non-overlapping ranges.
+func interleaved(sorted []*stream.Vector) bool {
+	last := int32(-1)
+	for _, v := range sorted {
+		idx, _ := v.Pairs()
+		if len(idx) == 0 {
+			continue
+		}
+		if idx[0] <= last {
+			return true
+		}
+		last = idx[len(idx)-1]
+	}
+	return false
 }
 
 // SparseAllgather gathers disjoint sparse contributions from all ranks
@@ -494,23 +649,24 @@ func ringSparse(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *s
 	ownBlk := (rank + 1) % P
 	acc := blocks[ownBlk]
 
-	// Allgather ring of the reduced sparse blocks.
-	have := map[int]*stream.Vector{ownBlk: acc}
+	// Allgather ring of the reduced sparse blocks (forwarded blocks are
+	// read-only from here on).
+	have := make([]*stream.Vector, P)
+	have[ownBlk] = acc
 	cur := ownBlk
 	for s := 0; s < P-1; s++ {
 		out := have[cur]
 		p.Send(next, base+P+s, out, out.WireBytes())
 		recvBlk := ((cur-1)%P + P) % P
-		in := p.Recv(prev, base+P+s).Payload.(*stream.Vector)
-		have[recvBlk] = in
+		have[recvBlk] = p.Recv(prev, base+P+s).Payload.(*stream.Vector)
 		cur = recvBlk
 	}
 
-	// Assemble: blocks are disjoint; concatenate in index order.
-	result := stream.Zero(n, v.Op())
-	result.SetValueBytes(v.ValueBytes())
-	for b := 0; b < P; b++ {
-		concatCharged(p, result, have[b])
-	}
-	return result
+	// Assemble: blocks are disjoint; concatenate them, in index order,
+	// onto an empty vector.
+	empty := stream.Zero(n, v.Op())
+	empty.SetValueBytes(v.ValueBytes())
+	g := gatherFrom(empty, P+1)
+	g.foldEach(p, have)
+	return concatPieces(g.pieces, sc)
 }

@@ -190,24 +190,27 @@ func (q *Quantized) CompressionRatio() float64 {
 	return float64(8*q.n) / float64(q.WireBytes())
 }
 
-// Marshal serializes the quantized vector.
-func (q *Quantized) Marshal() []byte {
-	buf := make([]byte, 0, 16+len(q.packed)+4*len(q.scales))
-	var hdr [16]byte
+// MarshalSize returns the exact length AppendMarshal appends.
+func (q *Quantized) MarshalSize() int {
+	return 10 + 4*len(q.scales) + len(q.packed)
+}
+
+// AppendMarshal appends the serialized quantized vector to buf and
+// returns the extended slice.
+func (q *Quantized) AppendMarshal(buf []byte) []byte {
+	var hdr [10]byte
 	hdr[0] = byte(q.cfg.Bits)
 	hdr[1] = byte(q.cfg.Norm)
 	binary.LittleEndian.PutUint32(hdr[2:], uint32(q.cfg.Bucket))
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(q.n))
-	buf = append(buf, hdr[:10]...)
+	buf = append(buf, hdr[:]...)
 	for _, s := range q.scales {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(s))
-		buf = append(buf, b[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(s))
 	}
 	return append(buf, q.packed...)
 }
 
-// Unmarshal reverses Marshal.
+// Unmarshal reverses AppendMarshal.
 func Unmarshal(buf []byte) (*Quantized, error) {
 	if len(buf) < 10 {
 		return nil, fmt.Errorf("quant: short buffer")

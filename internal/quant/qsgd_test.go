@@ -108,7 +108,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 			v[i] = rng.NormFloat64()
 		}
 		q := Encode(v, Config{Bits: bits, Bucket: 128, Norm: NormL2}, rng)
-		q2, err := Unmarshal(q.Marshal())
+		buf := q.AppendMarshal(nil)
+		if len(buf) != q.MarshalSize() {
+			t.Fatalf("bits=%d: MarshalSize %d, encoding is %d bytes", bits, q.MarshalSize(), len(buf))
+		}
+		q2, err := Unmarshal(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +131,7 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	q := Encode(make([]float64, 64), Config{Bits: 4, Bucket: 16, Norm: NormMax}, rng)
-	buf := q.Marshal()
+	buf := q.AppendMarshal(nil)
 	if _, err := Unmarshal(buf[:len(buf)-1]); err == nil {
 		t.Fatal("expected error on truncated buffer")
 	}

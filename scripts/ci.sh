@@ -4,7 +4,9 @@
 # race-check the concurrency hot spots (the message-passing substrate with
 # its real transports, the collectives and parallel merge that run on it),
 # smoke the real execution backends (goroutine + loopback TCP) through the
-# sparbench transport sweep, run the full test suite, prove the
+# sparbench transport sweep, run the full test suite, fuzz the transports'
+# payload decoder for 5 s (FuzzDecodePayload: bytes from other processes
+# must never crash or exhaust memory), prove the
 # record/replay contract end to end (record a scenario trace with
 # sparreplay, replay it through sparbench, diff the rows byte for byte),
 # prove the observability contract the same way (live vs replay Perfetto
@@ -68,6 +70,9 @@ go run ./cmd/sparbench -sweep overlapwall -runs 1 > /dev/null
 
 echo "== go test ./..."
 go test ./...
+
+echo "== fuzz smoke (transport payload decoder, 5 s)"
+go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 5s ./internal/comm > /dev/null
 
 tmp_bench=$(mktemp)
 tmp_bench3=$(mktemp)
