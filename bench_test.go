@@ -131,7 +131,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 		}
 		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
 	}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, 0)
 	b.Run("flat-inter", func(b *testing.B) {
 		w := comm.NewWorld(P, simnet.Aries)
 		for i := 0; i < b.N; i++ {
@@ -142,7 +142,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 		b.ReportMetric(w.MaxTime()*1e6, "simµs/op")
 	})
 	b.Run("hier-topo", func(b *testing.B) {
-		w := comm.NewWorldTopo(P, topo)
+		w := comm.NewWorldHier(P, topo)
 		for i := 0; i < b.N; i++ {
 			comm.Run(w, func(p *comm.Proc) any {
 				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierSSAR})
@@ -190,11 +190,10 @@ func BenchmarkHierDSARVsFlatContended(b *testing.B) {
 		}
 		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
 	}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike,
-		Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, 1)
 	for _, alg := range []core.Algorithm{core.DSARSplitAllgather, core.HierDSAR} {
 		b.Run(alg.String(), func(b *testing.B) {
-			w := comm.NewWorldTopo(P, topo)
+			w := comm.NewWorldHier(P, topo)
 			for i := 0; i < b.N; i++ {
 				comm.Run(w, func(p *comm.Proc) any {
 					return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})

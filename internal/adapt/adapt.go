@@ -418,13 +418,6 @@ func (a *Controller) agreeStats(p *comm.Proc) (agreed []float64, depth int) {
 func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts core.Options, kmax float64, agreed []float64, depth int) core.CostScenario {
 	P := float64(p.Size())
 	s := core.ScenarioFor(p, v, opts, int(kmax))
-	if s.Topo != nil {
-		// Normalize to the hierarchy form so per-level calibration has one
-		// substitution point (a Topology prices exactly like its two-level
-		// hierarchy).
-		th := s.Topo.Hierarchy()
-		s.Hier, s.Topo = &th, nil
-	}
 
 	// Support model: agreed mean divergence above the threshold selects
 	// the clustered closed form, parameterized by the agreed mean hot

@@ -51,7 +51,6 @@ type Message struct {
 type World struct {
 	p       int
 	profile simnet.Profile
-	topo    *simnet.Topology  // set only by NewWorldTopo, for the legacy accessor
 	hier    *simnet.Hierarchy // nil for flat (single-level) worlds
 	boxes   []*mailbox
 	times   []float64 // final per-rank time (virtual or wall), filled by Run
@@ -171,27 +170,6 @@ func (w *World) LocalRanks() []int {
 	return append([]int(nil), w.localRanks()...)
 }
 
-// NewWorldTopo creates a world of p ranks on a two-level topology:
-// consecutive groups of topo.RanksPerNode ranks share a node, intra-node
-// messages are priced by topo.Intra and inter-node messages by topo.Inter
-// (both in seconds per the α–β model). The world's default profile
-// (returned by Profile, used for local compute costs) is the inter-node
-// profile. When topo.NICSerial > 0, inter-node sends additionally pay the
-// per-node NIC bandwidth-sharing factor for concurrently sending
-// node-mates (see Topology.NICFactor and Proc.Send). Panics if
-// topo.Validate fails or p <= 0.
-//
-// A topology world is exactly the two-level case of NewWorldHier; it
-// additionally answers the legacy Topology accessor.
-func NewWorldTopo(p int, topo simnet.Topology) *World {
-	if err := topo.Validate(); err != nil {
-		panic(err.Error())
-	}
-	w := NewWorldHier(p, topo.Hierarchy())
-	w.topo = &topo
-	return w
-}
-
 // NewWorldHier creates a world of p ranks on an N-level machine hierarchy:
 // every message is priced by the profile of the innermost level its two
 // ranks share (simnet.Hierarchy.ProfileFor), and pays each crossed level's
@@ -274,23 +252,13 @@ func (w *World) SetActivitySource(src ActivitySource) { w.activity = src }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.p }
 
-// Profile returns the world's network profile (the inter-node profile for
-// topology worlds).
+// Profile returns the world's network profile (the outermost level's
+// profile on hierarchy worlds).
 func (w *World) Profile() simnet.Profile { return w.profile }
 
-// Topology returns the world's two-level topology, if the world was built
-// with NewWorldTopo. Worlds built directly from a Hierarchy report false;
-// use Hierarchy instead.
-func (w *World) Topology() (simnet.Topology, bool) {
-	if w.topo == nil {
-		return simnet.Topology{}, false
-	}
-	return *w.topo, true
-}
-
 // Hierarchy returns the world's machine hierarchy, if one was configured
-// (directly via NewWorldHier, or as the two-level hierarchy of a
-// NewWorldTopo topology).
+// (NewWorldHier, or the induced job hierarchy of a regular NewWorldPlaced
+// placement).
 func (w *World) Hierarchy() (simnet.Hierarchy, bool) {
 	if w.hier == nil {
 		return simnet.Hierarchy{}, false
@@ -429,24 +397,14 @@ func (p *Proc) worldRank(r int) int {
 	return r
 }
 
-// Profile returns the network profile (the inter-node profile on a
-// topology world).
+// Profile returns the network profile (the outermost level's profile on
+// a hierarchy world).
 func (p *Proc) Profile() simnet.Profile { return p.world.profile }
 
-// Topology returns the world's two-level topology if one is configured.
-// Sub-communicator views report no topology: the node grouping is defined
-// over world ranks, and hierarchical algorithms are expected to run on the
+// Hierarchy returns the world's machine hierarchy if one is configured.
+// Sub-communicator views report no hierarchy: the grouping is defined over
+// world ranks, and hierarchical algorithms are expected to run on the
 // world communicator.
-func (p *Proc) Topology() (simnet.Topology, bool) {
-	if p.group != nil {
-		return simnet.Topology{}, false
-	}
-	return p.world.Topology()
-}
-
-// Hierarchy returns the world's machine hierarchy if one is configured
-// (a two-level one on NewWorldTopo worlds). Sub-communicator views report
-// no hierarchy, for the same reason as Topology.
 func (p *Proc) Hierarchy() (simnet.Hierarchy, bool) {
 	if p.group != nil {
 		return simnet.Hierarchy{}, false
@@ -604,8 +562,8 @@ func (p *Proc) activeAt(l int) int {
 // (simnet.Hierarchy.IngressFactor). The contending flow counts come from
 // the world's ActivitySource when one is installed (observed in-flight
 // flows, the multi-tenant cluster path) and otherwise from the static
-// communicator-size proxy of activeAt — on a two-level topology world
-// exactly the per-node NIC factor of Topology.NICFactor.
+// communicator-size proxy of activeAt — on a simnet.TwoLevel world
+// exactly the per-node NIC factor.
 //
 // On real transports the payload actually moves (through the wire codec in
 // process, over a socket across processes) and the recorded trace times

@@ -61,9 +61,6 @@ func TestHierWorldPricesBySharedLevel(t *testing.T) {
 	if _, ok := w.Hierarchy(); !ok {
 		t.Fatal("hierarchy world must report its hierarchy")
 	}
-	if _, ok := w.Topology(); ok {
-		t.Fatal("NewWorldHier world must not report a legacy topology")
-	}
 	if w.Profile().Name != "global" {
 		t.Fatal("hierarchy world default profile must be the outermost profile")
 	}
@@ -158,10 +155,18 @@ func TestTraceRecordsLevel(t *testing.T) {
 }
 
 func TestNewWorldHierValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid hierarchy must panic")
-		}
-	}()
-	NewWorldHier(4, simnet.Hierarchy{})
+	bad := []simnet.Hierarchy{
+		{},
+		simnet.TwoLevel(0, fastIntra, slowInter, 0), // no ranks per node
+	}
+	for i, h := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("invalid hierarchy %d must panic", i)
+				}
+			}()
+			NewWorldHier(4, h)
+		}()
+	}
 }

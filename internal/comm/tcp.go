@@ -399,10 +399,17 @@ func decodeTable(body []byte) ([]string, error) {
 // instead names a shared cfg.Rendezvous address and partitions the ranks
 // across processes via cfg.LocalRanks; each process calls NewWorldTCP with
 // the same p and rendezvous, then Run executes only its local ranks'
-// programs. Close the world to release its sockets.
+// programs. Close the world to release its sockets. A non-positive p or an
+// invalid cfg.Hierarchy is reported as an error.
 func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
+	if p <= 0 {
+		return nil, fmt.Errorf("comm: tcp world size must be positive, got %d", p)
+	}
 	var w *World
 	if cfg.Hierarchy != nil {
+		if err := cfg.Hierarchy.Validate(); err != nil {
+			return nil, err
+		}
 		w = NewWorldHier(p, *cfg.Hierarchy)
 	} else {
 		w = NewWorld(p, profile)

@@ -11,12 +11,12 @@ var (
 		GammaPerElem: 1e-10, SparseComputeFactor: 4}
 	fastIntra = simnet.Profile{Name: "fast", Alpha: 1e-7, BetaPerByte: 1e-11,
 		GammaPerElem: 1e-10, SparseComputeFactor: 4}
-	testTopo = simnet.Topology{RanksPerNode: 2, Intra: fastIntra, Inter: slowInter}
+	testTopo = simnet.TwoLevel(2, fastIntra, slowInter, 0)
 )
 
 func TestTopoWorldCostsByNodeLocality(t *testing.T) {
 	const bytes = 1 << 20
-	w := NewWorldTopo(4, testTopo)
+	w := NewWorldHier(4, testTopo)
 	// Rank 0 sends to its node peer (1) and to a remote rank (2); the
 	// sender-side injection cost must differ by the profile ratio.
 	times := Run(w, func(p *Proc) float64 {
@@ -40,34 +40,25 @@ func TestTopoWorldCostsByNodeLocality(t *testing.T) {
 	if got := times[0]; got != wantRatio {
 		t.Fatalf("inter/intra cost ratio = %g, want %g", got, wantRatio)
 	}
-	if _, ok := w.Topology(); !ok {
-		t.Fatal("topology world must report its topology")
+	if h, ok := w.Hierarchy(); !ok || h.Depth() != 2 {
+		t.Fatal("two-level world must report its two-level hierarchy")
 	}
 	if w.Profile().Name != "slow" {
-		t.Fatal("topology world default profile must be the inter profile")
+		t.Fatal("two-level world default profile must be the inter profile")
 	}
 }
 
 func TestFlatWorldReportsNoTopology(t *testing.T) {
 	w := NewWorld(2, slowInter)
-	if _, ok := w.Topology(); ok {
-		t.Fatal("flat world must not report a topology")
+	if _, ok := w.Hierarchy(); ok {
+		t.Fatal("flat world must not report a hierarchy")
 	}
 	Run(w, func(p *Proc) any {
-		if _, ok := p.Topology(); ok {
-			panic("flat proc must not report a topology")
+		if _, ok := p.Hierarchy(); ok {
+			panic("flat proc must not report a hierarchy")
 		}
 		return nil
 	})
-}
-
-func TestNewWorldTopoValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid topology must panic")
-		}
-	}()
-	NewWorldTopo(4, simnet.Topology{RanksPerNode: 0, Intra: fastIntra, Inter: slowInter})
 }
 
 func TestSubCommunicatorRanksAndExchange(t *testing.T) {

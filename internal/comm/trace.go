@@ -29,7 +29,7 @@ type TraceEvent struct {
 	// message's bandwidth term was priced with: the product of the
 	// serialization factors of every hierarchy level the message escaped
 	// (1 for intra-node messages and for worlds without Serial caps; on a
-	// two-level topology world exactly the per-node NIC factor, hence the
+	// simnet.TwoLevel world exactly the per-node NIC factor, hence the
 	// name). Real transports record 1: their contention is physical, not
 	// modeled. See simnet.Hierarchy.SerialFactor.
 	NICFactor float64

@@ -355,4 +355,10 @@ func TestTCPConfigValidation(t *testing.T) {
 	if _, err := NewWorldTCP(4, simnet.Aries, TCPConfig{Rendezvous: "127.0.0.1:0", LocalRanks: []int{0, 7}}); err == nil {
 		t.Fatalf("out-of-range rank accepted")
 	}
+	if _, err := NewWorldTCP(4, simnet.Aries, TCPConfig{Hierarchy: &simnet.Hierarchy{}}); err == nil {
+		t.Fatalf("invalid hierarchy accepted")
+	}
+	if _, err := NewWorldTCP(0, simnet.Aries, TCPConfig{}); err == nil {
+		t.Fatalf("empty world accepted")
+	}
 }

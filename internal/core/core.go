@@ -33,7 +33,7 @@ const (
 	// fixes the result representation (expected fill-in E[K] ≥ δ routes to
 	// the dense-result DSAR family, which also honors quantization; below
 	// δ to the sparse-result SSAR family), then the candidates — including
-	// the hierarchical variants on multi-node topology worlds — are priced
+	// the hierarchical variants on multi-node hierarchy worlds — are priced
 	// by the α–β(+NIC contention) cost model (see CostScenario and
 	// PredictSeconds) and the cheapest wins. Every rank first agrees on
 	// the maximum per-rank non-zero count, so all ranks pick the same
@@ -296,9 +296,7 @@ func ScenarioFor(p *comm.Proc, v *stream.Vector, opts Options, kmax int) CostSce
 		HotFraction:    opts.HotFraction,
 		HotMass:        opts.HotMass,
 	}
-	if topo, ok := p.Topology(); ok {
-		s.Topo = &topo
-	} else if h, ok := p.Hierarchy(); ok {
+	if h, ok := p.Hierarchy(); ok {
 		s.Hier = &h
 	}
 	return s

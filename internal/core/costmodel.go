@@ -43,14 +43,10 @@ type CostScenario struct {
 	// everywhere (γ terms). On hierarchy scenarios it should equal the
 	// outermost level's profile, matching comm.NewWorldHier.
 	Profile simnet.Profile
-	// Topo, when non-nil, prices messages by the two-level topology —
-	// shorthand for Hier set to Topo.Hierarchy(), kept for the
-	// NewWorldTopo surface.
-	Topo *simnet.Topology
 	// Hier, when non-nil, prices messages by the N-level machine
 	// hierarchy: each message uses the profile of the innermost level its
 	// ranks share and pays the egress serialization factor of every level
-	// it escapes. Takes precedence over Topo.
+	// it escapes.
 	Hier *simnet.Hierarchy
 	// Levels caps the hierarchical algorithms' modeled recursion depth,
 	// mirroring Options.Levels: 0 prices the full hierarchy; d >= 2 prices
@@ -278,14 +274,10 @@ func (s CostScenario) smallOr() int {
 	return s.SmallDataBytes
 }
 
-// hierarchy returns the scenario's machine hierarchy: Hier when set,
-// otherwise the two-level hierarchy of Topo.
+// hierarchy returns the scenario's machine hierarchy, if Hier is set.
 func (s CostScenario) hierarchy() (simnet.Hierarchy, bool) {
 	if s.Hier != nil {
 		return *s.Hier, true
-	}
-	if s.Topo != nil {
-		return s.Topo.Hierarchy(), true
 	}
 	return simnet.Hierarchy{}, false
 }

@@ -13,7 +13,7 @@ import (
 
 // simulateUniform runs one allreduce of the given uniform-sparse instance and
 // returns the simulated completion time.
-func simulateUniform(t *testing.T, n, k, P int, topo *simnet.Topology, prof simnet.Profile, alg Algorithm) float64 {
+func simulateUniform(t *testing.T, n, k, P int, topo *simnet.Hierarchy, prof simnet.Profile, alg Algorithm) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n) + int64(k)*31 + int64(P)*7))
 	inputs := make([]*stream.Vector, P)
@@ -22,7 +22,7 @@ func simulateUniform(t *testing.T, n, k, P int, topo *simnet.Topology, prof simn
 	}
 	var w *comm.World
 	if topo != nil {
-		w = comm.NewWorldTopo(P, *topo)
+		w = comm.NewWorldHier(P, *topo)
 	} else {
 		w = comm.NewWorld(P, prof)
 	}
@@ -54,12 +54,12 @@ func simulateUniformHier(t *testing.T, n, k, P int, h simnet.Hierarchy, levels i
 // model only needs to *rank* algorithms, but tracking the absolute time
 // keeps the formulas honest.
 func TestPredictTracksSimulator(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
-	nic := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
+	nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	cases := []struct {
 		name    string
 		n, k, P int
-		topo    *simnet.Topology
+		topo    *simnet.Hierarchy
 	}{
 		{"flat-small", 1 << 20, 100, 4, nil},
 		{"flat-large", 1 << 20, 50000, 4, nil},
@@ -70,7 +70,7 @@ func TestPredictTracksSimulator(t *testing.T) {
 	}
 	algs := []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR}
 	for _, tc := range cases {
-		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Topo: tc.topo}
+		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Hier: tc.topo}
 		if tc.topo == nil {
 			s.Profile = testProfile
 		}
@@ -130,12 +130,12 @@ func TestPredictTracksSimulator3Level(t *testing.T) {
 // algorithm, the cost-model Auto must pick the one that is actually
 // cheapest in simulation.
 func TestAutoMatchesEmpiricalCheapest(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
-	nic := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
+	nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	cases := []struct {
 		name    string
 		n, k, P int
-		topo    simnet.Topology
+		topo    simnet.Hierarchy
 		old     Algorithm // what the PR-1 topology-presence heuristic chose
 	}{
 		// Sparse regime on an uncontended topology: old heuristic always
@@ -146,7 +146,7 @@ func TestAutoMatchesEmpiricalCheapest(t *testing.T) {
 		{"dense-contended", 1 << 16, 40000, 16, nic, DSARSplitAllgather},
 	}
 	for _, tc := range cases {
-		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Topo: &tc.topo}
+		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Hier: &tc.topo}
 		choice := ChooseAuto(s)
 		if choice == tc.old {
 			t.Fatalf("%s: cost model chose %s, same as the old heuristic — scenario no longer discriminates",
@@ -188,19 +188,14 @@ func TestChooseAutoDeterministicAndFlatSafe(t *testing.T) {
 		}
 		s.K = rng.Intn(s.N + 1)
 		if rng.Intn(2) == 0 {
-			topo := simnet.Topology{
-				RanksPerNode: 1 + rng.Intn(8),
-				Intra:        simnet.NVLinkLike,
-				Inter:        simnet.Aries,
-				NICSerial:    rng.Intn(3),
-			}
-			s.Topo = &topo
+			topo := simnet.TwoLevel(1+rng.Intn(8), simnet.NVLinkLike, simnet.Aries, rng.Intn(3))
+			s.Hier = &topo
 		}
 		a, b := ChooseAuto(s), ChooseAuto(s)
 		if a != b {
 			t.Fatalf("trial %d: ChooseAuto not deterministic (%s vs %s)", trial, a, b)
 		}
-		if s.Topo == nil && (a == HierSSAR || a == HierDSAR) {
+		if s.Hier == nil && (a == HierSSAR || a == HierDSAR) {
 			t.Fatalf("trial %d: hierarchical algorithm %s chosen on a flat world", trial, a)
 		}
 	}

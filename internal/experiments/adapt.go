@@ -98,14 +98,14 @@ func ReplayAdaptCellObs(rpn, nic int, tr *scenario.Trace) (AdaptRow, *obs.Obs) {
 // to the caller); the hooks only read the virtual clocks, so the row is
 // identical either way.
 func runAdaptSchedule(rpn, nic int, name string, n, P int, sched [][]*stream.Vector, observe bool) (AdaptRow, *obs.Obs) {
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: nic}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, nic)
 	row := AdaptRow{
 		Workload: name, N: n, P: P, RanksPerNode: rpn, NICSerial: nic,
 		Calls: len(sched), KStart: sched[0][0].NNZ(), KEnd: sched[len(sched)-1][0].NNZ(),
 	}
 
 	static := func(opts core.Options) float64 {
-		w := comm.NewWorldTopo(P, topo)
+		w := comm.NewWorldHier(P, topo)
 		comm.Run(w, func(p *comm.Proc) any {
 			for _, inputs := range sched {
 				core.Allreduce(p, inputs[p.Rank()], opts)
@@ -117,7 +117,7 @@ func runAdaptSchedule(rpn, nic int, name string, n, P int, sched [][]*stream.Vec
 	row.StaticUniformSim = static(core.Options{})
 	row.StaticClusteredSim = static(core.Options{Support: core.SupportClustered})
 
-	w := comm.NewWorldTopo(P, topo)
+	w := comm.NewWorldHier(P, topo)
 	var hub *obs.Obs
 	if observe {
 		hub = w.EnableObservability()

@@ -12,7 +12,7 @@ import (
 )
 
 // This file holds the contention-model experiments introduced with the
-// per-node NIC serialization cap (simnet.Topology.NICSerial): a
+// per-node NIC serialization cap (the nicSerial of simnet.TwoLevel): a
 // flat-vs-hierarchical DSAR sweep on capped topologies, and the
 // cost-model validation sweep recorded as BENCH_2.json — for each cell it
 // measures every Auto candidate, prices it with the analytic model, and
@@ -75,20 +75,20 @@ func oldHeuristicChoice(n, k, P, rpn int) core.Algorithm {
 }
 
 // RunContentionCell measures one contention cell: every Auto candidate on
-// the same inputs over Topology{rpn, intra, inter, nic}, plus the modeled
+// the same inputs over TwoLevel(rpn, intra, inter, nic), plus the modeled
 // cost of each. Simulated times are deterministic, so one run per
 // algorithm suffices.
 func RunContentionCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Profile, seed int64) ContentionRow {
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter, NICSerial: nic}
+	topo := simnet.TwoLevel(rpn, intra, inter, nic)
 	rng := rand.New(rand.NewSource(seed))
 	inputs := uniformInputs(rng, n, d, P)
 	k := inputs[0].NNZ()
 	row := ContentionRow{N: n, P: P, RanksPerNode: rpn, NICSerial: nic, Density: d, K: k}
 
-	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Topo: &topo}
+	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Hier: &topo}
 	cheapest, cheapestT := "", 0.0
 	for _, alg := range contentionCandidates {
-		w := comm.NewWorldTopo(P, topo)
+		w := comm.NewWorldHier(P, topo)
 		comm.Run(w, func(p *comm.Proc) any {
 			return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})
 		})
@@ -138,7 +138,7 @@ func ContentionSweep(intra, inter simnet.Profile) []ContentionRow {
 
 // RunHierDSARCell measures flat DSAR_Split_allgather versus
 // DSAR_Hierarchical on the *same* NIC-capped two-level world (unlike
-// RunHierCell, which contrasts a flat world with a topology world): the
+// RunHierCell, which contrasts a flat world with a two-level world): the
 // question is purely algorithmic — does routing the dense allgather
 // through one leader flow per node beat P concurrent flows through capped
 // NICs.
@@ -150,20 +150,20 @@ func RunHierDSARCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Prof
 		runs = 3
 	}
 	row := HierRow{N: n, P: P, RanksPerNode: rpn, Density: d}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter, NICSerial: nic}
+	topo := simnet.TwoLevel(rpn, intra, inter, nic)
 	var flat, hier report.Sample
 	for g := 0; g < gens; g++ {
 		rng := rand.New(rand.NewSource(seed + int64(g)*6151))
 		inputs := uniformInputs(rng, n, d, P)
 		for r := 0; r < runs; r++ {
-			fw := comm.NewWorldTopo(P, topo)
+			fw := comm.NewWorldHier(P, topo)
 			comm.Run(fw, func(p *comm.Proc) any {
 				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.DSARSplitAllgather})
 			})
 			flat.Add(fw.MaxTime())
 			row.FlatMsgs = fw.TotalMessages()
 
-			hw := comm.NewWorldTopo(P, topo)
+			hw := comm.NewWorldHier(P, topo)
 			comm.Run(hw, func(p *comm.Proc) any {
 				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierDSAR})
 			})

@@ -31,7 +31,7 @@ type HierRow struct {
 }
 
 // RunHierCell measures one configuration: flat SSAR_Split_allgather on the
-// inter profile versus HierSSAR on Topology{rpn, intra, inter}.
+// inter profile versus HierSSAR on TwoLevel(rpn, intra, inter, 0).
 func RunHierCell(n int, density float64, P, rpn int, intra, inter simnet.Profile, gens, runs int, seed int64) HierRow {
 	if gens <= 0 {
 		gens = 2
@@ -40,7 +40,7 @@ func RunHierCell(n int, density float64, P, rpn int, intra, inter simnet.Profile
 		runs = 3
 	}
 	row := HierRow{N: n, P: P, RanksPerNode: rpn, Density: density}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter}
+	topo := simnet.TwoLevel(rpn, intra, inter, 0)
 	var flat, hier report.Sample
 	for g := 0; g < gens; g++ {
 		rng := rand.New(rand.NewSource(seed + int64(g)*6151))
@@ -53,7 +53,7 @@ func RunHierCell(n int, density float64, P, rpn int, intra, inter simnet.Profile
 			flat.Add(fw.MaxTime())
 			row.FlatMsgs = fw.TotalMessages()
 
-			hw := comm.NewWorldTopo(P, topo)
+			hw := comm.NewWorldHier(P, topo)
 			comm.Run(hw, func(p *comm.Proc) any {
 				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierSSAR})
 			})

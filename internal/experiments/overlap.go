@@ -93,7 +93,7 @@ func layerContribs(v *stream.Vector, spans [][2]int) []*stream.Vector {
 // identical fresh worlds. Simulated times are deterministic, so one run
 // per arm suffices.
 func RunOverlapCell(rpn, nic int, sc scenario.Scenario, key scenario.SimulationKey) OverlapRow {
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: nic}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, nic)
 	sched := sc.Generator(key).All()
 	spans := sc.LayerSpans()
 	coords := core.BucketCoords(core.CostScenario{N: sc.N, P: sc.P, Profile: simnet.Aries})
@@ -105,7 +105,7 @@ func RunOverlapCell(rpn, nic int, sc scenario.Scenario, key scenario.SimulationK
 	}
 
 	arm := func(f func(p *comm.Proc, inputs []*stream.Vector)) float64 {
-		w := comm.NewWorldTopo(sc.P, topo)
+		w := comm.NewWorldHier(sc.P, topo)
 		comm.Run(w, func(p *comm.Proc) any {
 			for _, inputs := range sched {
 				f(p, inputs)
@@ -253,7 +253,7 @@ func OverlapWallSweep(runs int) []OverlapWallRow {
 	if runs < 1 {
 		runs = 1
 	}
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	key := scenario.NewKey(OverlapSeed)
 	var rows []OverlapWallRow
 	for _, sc := range overlapScenarios() {
@@ -266,7 +266,7 @@ func OverlapWallSweep(runs int) []OverlapWallRow {
 		arm := func(f func(p *comm.Proc, inputs []*stream.Vector)) float64 {
 			times := make([]float64, runs)
 			for i := range times {
-				w := comm.NewWorldTopo(sc.P, topo).UseGoroutineTransport()
+				w := comm.NewWorldHier(sc.P, topo).UseGoroutineTransport()
 				comm.Run(w, func(p *comm.Proc) any {
 					for _, inputs := range sched {
 						f(p, inputs)

@@ -39,15 +39,15 @@ type Level struct {
 	IngressSerial int
 }
 
-// Hierarchy is the N-level generalization of the two-level Topology:
-// an ordered list of Levels from innermost to outermost. Ranks are grouped
-// into consecutive blocks bottom-up — Span(l) consecutive ranks share a
-// level-l group — and a message between two ranks is priced by the profile
-// of the innermost level whose group both share, paying each crossed
-// level's egress serialization factor on its bandwidth term.
+// Hierarchy is the machine model: an ordered list of Levels from innermost
+// to outermost. Ranks are grouped into consecutive blocks bottom-up —
+// Span(l) consecutive ranks share a level-l group — and a message between
+// two ranks is priced by the profile of the innermost level whose group
+// both share, paying each crossed level's egress serialization factor on
+// its bandwidth term.
 //
-// A Topology is exactly a two-level Hierarchy (Topology.Hierarchy()); the
-// three-tier shape of a Dragonfly machine is DragonflyLike.
+// The two-level node/network machine the paper's multi-GPU runs target is
+// TwoLevel; the three-tier shape of a Dragonfly machine is DragonflyLike.
 type Hierarchy struct {
 	// Levels holds the tiers, innermost first. See Validate for the
 	// structural requirements.
@@ -140,8 +140,8 @@ func (h Hierarchy) ProfileFor(a, b int) Profile {
 // escaping a level-`level` group pays when `active` co-located flows drive
 // the group's egress concurrently: 1 when the level has no cap (Serial ==
 // 0) or the flows fit under it, active/Serial (> 1) otherwise. active must
-// be >= 1 (a sender is always active itself). The per-node NICFactor of
-// the two-level Topology is SerialFactor at level 0.
+// be >= 1 (a sender is always active itself). On a TwoLevel hierarchy,
+// SerialFactor at level 0 is the per-node NIC factor.
 func (h Hierarchy) SerialFactor(level, active int) float64 {
 	if active < 1 {
 		panic("simnet: SerialFactor needs active >= 1")
@@ -308,15 +308,30 @@ func (h Hierarchy) StageRanks(rank, l, p int) []int {
 	return out
 }
 
-// Hierarchy returns the two-level hierarchy equivalent to the topology:
-// the Intra profile (with the NICSerial egress cap) inside nodes of
-// RanksPerNode ranks, the Inter profile everywhere else. Worlds built from
-// a Topology are priced identically through either representation.
-func (t Topology) Hierarchy() Hierarchy {
+// TwoLevel returns the two-level hierarchy of a machine whose nodes each
+// host ranksPerNode consecutive ranks (the last node may be smaller when
+// the world size is not divisible): intra prices messages between
+// node-mates (NVLink, QPI, shared memory — typically an order of magnitude
+// cheaper in α and β than the network), inter prices every other message.
+// nicSerial is the per-node NIC serialization cap, the level-0 Serial:
+// zero disables contention modeling (the paper's full-bisection-bandwidth
+// assumption). Hierarchy.Validate reports invalid arguments (ranksPerNode
+// < 1, unnamed profiles, negative nicSerial).
+func TwoLevel(ranksPerNode int, intra, inter Profile, nicSerial int) Hierarchy {
 	return Hierarchy{Levels: []Level{
-		{GroupSize: t.RanksPerNode, Profile: t.Intra, Serial: t.NICSerial},
-		{Profile: t.Inter},
+		{GroupSize: ranksPerNode, Profile: intra, Serial: nicSerial},
+		{Profile: inter},
 	}}
+}
+
+// NVLinkLike models an intra-node GPU interconnect in the class of the
+// paper's multi-GPU Greina nodes: sub-microsecond launch latency and
+// ~25 GB/s effective per-link bandwidth — roughly 2× lower α and 4× higher
+// bandwidth than Aries. Compute constants match the other profiles (the
+// reduction runs on the same device either way).
+var NVLinkLike = Profile{
+	Name: "nvlink", Alpha: 6e-7, BetaPerByte: 4e-11,
+	GammaPerElem: 2.5e-10, SparseComputeFactor: 4,
 }
 
 // AriesGlobal models the global (inter-group) optical links of a Dragonfly

@@ -91,8 +91,8 @@ func (p Profile) TransferTime(bytes int) float64 {
 }
 
 // ContendedTransferTime is TransferTime with the bandwidth term (β and
-// SoftwarePerByte) scaled by a NIC-contention factor (see
-// Topology.NICFactor): α + overhead + (β+βsw)·bytes·factor, in seconds.
+// SoftwarePerByte) scaled by a contention factor (see
+// Hierarchy.SerialFactor): α + overhead + (β+βsw)·bytes·factor, in seconds.
 // The latency terms are unscaled — contention serializes bytes, it does
 // not add message setups. factor must be >= 1.
 func (p Profile) ContendedTransferTime(bytes int, factor float64) float64 {

@@ -123,3 +123,31 @@ func TestDeviceComputeTime(t *testing.T) {
 		t.Fatal("V100 must be faster than K80")
 	}
 }
+
+func TestNVLinkLikeProfile(t *testing.T) {
+	p, err := ProfileByName("nvlink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Alpha >= Aries.Alpha || p.BetaPerByte >= Aries.BetaPerByte {
+		t.Fatal("nvlink must be strictly cheaper than aries in both α and β")
+	}
+}
+
+func TestContendedTransferTime(t *testing.T) {
+	p := Profile{Name: "x", Alpha: 1e-6, BetaPerByte: 1e-9, SoftwareOverhead: 1e-7, SoftwarePerByte: 1e-10}
+	bytes := 1000
+	want := p.Alpha + p.SoftwareOverhead + (p.BetaPerByte+p.SoftwarePerByte)*float64(bytes)*3
+	if got := p.ContendedTransferTime(bytes, 3); got != want {
+		t.Fatalf("ContendedTransferTime = %g, want %g", got, want)
+	}
+	if got, want := p.ContendedTransferTime(bytes, 1), p.TransferTime(bytes); got != want {
+		t.Fatalf("factor-1 contended time %g != TransferTime %g", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("factor < 1 should panic")
+		}
+	}()
+	p.ContendedTransferTime(bytes, 0.5)
+}

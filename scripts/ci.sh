@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI floor for the repo: build everything, vet, enforce the documentation
+# CI floor for the repo: build everything, vet (the root module and the
+# nested wallbench module), enforce the documentation
 # floor (godoc coverage on the exported API packages + docs-vs-code drift),
 # race-check the concurrency hot spots (the message-passing substrate with
 # its real transports, the collectives and parallel merge that run on it),
@@ -44,6 +45,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go vet (wallbench module; root ./... skips nested modules)"
+go -C wallbench vet ./...
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)

@@ -64,17 +64,17 @@ const (
 	DenseRabenseifner  = core.DenseRabenseifner
 	DenseRing          = core.DenseRing
 	RingSparse         = core.RingSparse
-	// HierSSAR is the hierarchical sparse allreduce for two-level
-	// topologies: intra-node reduce → inter-node SSAR among node leaders →
+	// HierSSAR is the hierarchical sparse allreduce for multi-node
+	// machines: intra-node reduce → inter-node SSAR among node leaders →
 	// intra-node broadcast. Auto selects it on worlds built with
-	// NewWorldTopo when the cost model prices it cheapest in the
+	// NewWorldHier when the cost model prices it cheapest in the
 	// sparse-result regime.
 	HierSSAR = core.HierSSAR
 	// HierDSAR is the hierarchical dynamic sparse allreduce: intra-node
 	// reduce → DSAR among node leaders (densify at the leader, dense or
 	// QSGD-quantized inter-node allgather) → intra-node broadcast of the
 	// dense result. Auto selects it in the dense-result regime when the
-	// cost model prices it cheapest — typically when a NICSerial cap makes
+	// cost model prices it cheapest — typically when a per-node NIC cap makes
 	// concurrent flat flows expensive.
 	HierDSAR = core.HierDSAR
 )
@@ -140,22 +140,6 @@ const (
 // Profile describes a network in the α–β cost model.
 type Profile = simnet.Profile
 
-// Topology describes a two-level machine: ranks are grouped into nodes of
-// RanksPerNode consecutive ranks, intra-node messages are priced by the
-// Intra profile and inter-node messages by the Inter profile. NICSerial,
-// when positive, caps how many concurrent inter-node sends one node can
-// drive at full bandwidth (per-node NIC contention). Use with
-// NewWorldTopo:
-//
-//	world := sparcml.NewWorldTopo(32, sparcml.Topology{
-//	    RanksPerNode: 4, Intra: sparcml.NVLinkLike, Inter: sparcml.Aries,
-//	    NICSerial: 1, // one full-rate flow per node NIC
-//	})
-//
-// A Topology is exactly the two-level case of the general Hierarchy
-// (Topology.Hierarchy converts); deeper machines use NewWorldHier.
-type Topology = simnet.Topology
-
 // Hierarchy describes an N-level machine as an ordered list of Levels from
 // innermost (intra-node links) to outermost (global links): Span(l)
 // consecutive ranks share a level-l group, a message is priced by the
@@ -173,6 +157,20 @@ type Hierarchy = simnet.Hierarchy
 // per group, the Profile pricing messages whose innermost shared group is
 // at this level, and the group's egress Serial cap.
 type Level = simnet.Level
+
+// TwoLevel returns the two-level hierarchy of a machine with ranksPerNode
+// consecutive ranks per node: intra prices messages between node-mates,
+// inter every other message, and nicSerial, when positive, caps how many
+// concurrent inter-node sends one node can drive at full bandwidth
+// (per-node NIC contention):
+//
+//	world := sparcml.NewWorldHier(32, sparcml.TwoLevel(
+//	    4, sparcml.NVLinkLike, sparcml.Aries,
+//	    1, // one full-rate flow per node NIC
+//	))
+func TwoLevel(ranksPerNode int, intra, inter Profile, nicSerial int) Hierarchy {
+	return simnet.TwoLevel(ranksPerNode, intra, inter, nicSerial)
+}
 
 // DragonflyLike returns the three-tier hierarchy of a Dragonfly machine in
 // the class of Piz Daint: NVLink-like links inside nodes of ranksPerNode
@@ -221,8 +219,8 @@ var (
 	GigE = simnet.GigE
 	// SparkLike models a JVM dataflow communication layer.
 	SparkLike = simnet.SparkLike
-	// NVLinkLike models an intra-node GPU interconnect, the natural Intra
-	// profile of a Topology.
+	// NVLinkLike models an intra-node GPU interconnect, the natural intra
+	// profile of a TwoLevel machine.
 	NVLinkLike = simnet.NVLinkLike
 	// AriesGlobal models the tapered global links between Dragonfly
 	// groups, the natural outermost profile of a three-tier Hierarchy.
@@ -270,14 +268,6 @@ func newScratches(p int) []*Scratch {
 		out[i] = NewScratch()
 	}
 	return out
-}
-
-// NewWorldTopo creates a world of p ranks on a two-level topology:
-// messages between ranks on the same node cost topo.Intra, messages
-// between nodes cost topo.Inter. Auto algorithm selection picks the
-// hierarchical collectives on such worlds.
-func NewWorldTopo(p int, topo Topology) *World {
-	return &World{inner: comm.NewWorldTopo(p, topo), scratches: newScratches(p)}
 }
 
 // NewWorldHier creates a world of p ranks on an N-level machine hierarchy:
@@ -412,13 +402,8 @@ func (w *World) Adapt(rank int) *Adaptive {
 	return w.adapts[rank]
 }
 
-// Topology returns the world's two-level topology, if one was configured
-// with NewWorldTopo.
-func (w *World) Topology() (Topology, bool) { return w.inner.Topology() }
-
 // Hierarchy returns the world's machine hierarchy, if one was configured
-// (directly via NewWorldHier, or as the two-level hierarchy of a
-// NewWorldTopo topology).
+// with NewWorldHier.
 func (w *World) Hierarchy() (Hierarchy, bool) { return w.inner.Hierarchy() }
 
 // SimTime returns the maximum completion time across ranks for the most

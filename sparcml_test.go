@@ -30,10 +30,9 @@ func TestFacadeAllreduce(t *testing.T) {
 }
 
 func TestFacadeTopologyWorld(t *testing.T) {
-	topo := Topology{RanksPerNode: 2, Intra: NVLinkLike, Inter: Aries}
-	w := NewWorldTopo(8, topo)
-	if got, ok := w.Topology(); !ok || got.RanksPerNode != 2 {
-		t.Fatal("topology world must report its topology")
+	w := NewWorldHier(8, TwoLevel(2, NVLinkLike, Aries, 0))
+	if h, ok := w.Hierarchy(); !ok || h.Depth() != 2 || h.Span(0) != 2 {
+		t.Fatal("two-level world must report its two-level hierarchy")
 	}
 	// Auto on a topology world routes through HierSSAR; the reduction must
 	// still be exact.
@@ -67,9 +66,6 @@ func TestFacadeHierarchyWorld(t *testing.T) {
 	if !ok || h.Depth() != 3 || h.Span(1) != 16 {
 		t.Fatal("hierarchy world must report its 3-tier hierarchy")
 	}
-	if _, ok := w.Topology(); ok {
-		t.Fatal("hierarchy world must not report a two-level topology")
-	}
 	results := Run(w, func(c *Comm) *Vector {
 		v := NewSparse(100000, []int32{int32(c.Rank()), 200}, []float64{1, 2})
 		return c.Allreduce(v, Options{Scratch: w.Scratch(c.Rank())})
@@ -94,22 +90,6 @@ func TestFacadeHierarchyWorld(t *testing.T) {
 	})
 	if alg != HierSSAR || levels < 2 {
 		t.Fatalf("ChooseAutoLevels on DragonflyLike = %v@%d, want a hierarchical pick", alg, levels)
-	}
-	// A custom 2-level hierarchy must behave like the equivalent topology.
-	topo := Topology{RanksPerNode: 2, Intra: NVLinkLike, Inter: Aries}
-	hw := NewWorldHier(8, topo.Hierarchy())
-	tw := NewWorldTopo(8, topo)
-	prog := func(c *Comm) *Vector {
-		v := NewSparse(100, []int32{int32(c.Rank()), 50}, []float64{1, 2})
-		return c.Allreduce(v, Options{})
-	}
-	hres, tres := Run(hw, prog), Run(tw, prog)
-	if !hres[0].Equal(tres[0]) {
-		t.Fatal("two-level hierarchy world must match the topology world")
-	}
-	if hw.SimTime() != tw.SimTime() {
-		t.Fatalf("two-level hierarchy sim time %g must equal topology world's %g",
-			hw.SimTime(), tw.SimTime())
 	}
 }
 
