@@ -61,6 +61,15 @@ func TestFlatWorldReportsNoTopology(t *testing.T) {
 	})
 }
 
+func TestNewWorldTopoValidates(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("invalid two-level hierarchy must panic")
+		}
+	}()
+	NewWorldHier(4, simnet.TwoLevel(0, fastIntra, slowInter, 0))
+}
+
 func TestSubCommunicatorRanksAndExchange(t *testing.T) {
 	w := NewWorld(6, slowInter)
 	// Odd world ranks form a group; each sends its group rank to the next

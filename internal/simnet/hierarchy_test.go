@@ -23,10 +23,6 @@ func TestHierarchyValidate(t *testing.T) {
 		{Levels: []Level{{GroupSize: 4, Profile: Profile{}}, {Profile: Aries}}},
 		{Levels: []Level{{GroupSize: 4, Profile: NVLinkLike, Serial: -1}, {Profile: Aries}}},
 		{Levels: make([]Level, MaxLevels+1)},
-		TwoLevel(0, NVLinkLike, Aries, 0),     // no ranks per node
-		TwoLevel(2, Profile{}, Aries, 0),      // unnamed intra profile
-		TwoLevel(2, NVLinkLike, Profile{}, 0), // unnamed inter profile
-		TwoLevel(2, NVLinkLike, Aries, -1),    // negative NIC cap
 	}
 	for i, h := range bad {
 		if err := h.Validate(); err == nil {
@@ -52,60 +48,28 @@ func TestHierarchySpanAndGroups(t *testing.T) {
 	if got := h.GroupOf(13, 0); got != 3 {
 		t.Fatalf("GroupOf(13, 0) = %d, want 3", got)
 	}
-	// Leaders, group members and group leaders, on the three-tier test
-	// machine and on nodes of 4 (TwoLevel). Ragged worlds clip the last
-	// group: 14 ranks leave node {12, 13} and group {12, 13} short, 10
-	// ranks leave node {8, 9} short.
-	two := TwoLevel(4, NVLinkLike, Aries, 0)
-	leaders := []struct {
-		h                    Hierarchy
-		rank, l, group, want int
-	}{
-		{h, 13, 1, 1, 12},
-		{two, 0, 0, 0, 0}, {two, 3, 0, 0, 0}, {two, 4, 0, 1, 4},
-		{two, 6, 0, 1, 4}, {two, 11, 0, 2, 8}, {two, 11, 1, 0, 0},
+	if got := h.GroupOf(13, 1); got != 1 {
+		t.Fatalf("GroupOf(13, 1) = %d, want 1", got)
 	}
-	for _, c := range leaders {
-		if got := c.h.GroupOf(c.rank, c.l); got != c.group {
-			t.Fatalf("depth-%d GroupOf(%d, %d) = %d, want %d", c.h.Depth(), c.rank, c.l, got, c.group)
-		}
-		if got := c.h.Leader(c.rank, c.l); got != c.want {
-			t.Fatalf("depth-%d Leader(%d, %d) = %d, want %d", c.h.Depth(), c.rank, c.l, got, c.want)
-		}
+	if got := h.Leader(13, 1); got != 12 {
+		t.Fatalf("Leader(13, 1) = %d, want 12", got)
 	}
-	members := []struct {
-		h          Hierarchy
-		rank, l, p int
-		want       []int
-	}{
-		{h, 13, 0, 14, []int{12, 13}},
-		{h, 5, 1, 14, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
-		{two, 5, 0, 8, []int{4, 5, 6, 7}},
-		{two, 9, 0, 10, []int{8, 9}},
-		{two, 2, 1, 6, []int{0, 1, 2, 3, 4, 5}},
+	// Ragged world of 14 ranks: last node {12, 13} and last group {12, 13}
+	// are both short.
+	if got := h.GroupRanks(13, 0, 14); !reflect.DeepEqual(got, []int{12, 13}) {
+		t.Fatalf("GroupRanks(13, 0, 14) = %v", got)
 	}
-	for _, c := range members {
-		if got := c.h.GroupRanks(c.rank, c.l, c.p); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("depth-%d GroupRanks(%d, %d, %d) = %v, want %v", c.h.Depth(), c.rank, c.l, c.p, got, c.want)
-		}
+	if got := h.GroupRanks(5, 1, 14); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+		t.Fatalf("GroupRanks(5, 1, 14) = %v", got)
 	}
-	leaderSets := []struct {
-		h    Hierarchy
-		l, p int
-		want []int
-	}{
-		{h, 0, 14, []int{0, 4, 8, 12}},
-		{h, 1, 14, []int{0, 12}},
-		{h, 2, 14, []int{0}},
-		{two, 0, 8, []int{0, 4}},
-		{two, 0, 10, []int{0, 4, 8}},
-		{two, 0, 1, []int{0}},
-		{two, 1, 10, []int{0}},
+	if got := h.LeadersAt(0, 14); !reflect.DeepEqual(got, []int{0, 4, 8, 12}) {
+		t.Fatalf("LeadersAt(0, 14) = %v", got)
 	}
-	for _, c := range leaderSets {
-		if got := c.h.LeadersAt(c.l, c.p); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("depth-%d LeadersAt(%d, %d) = %v, want %v", c.h.Depth(), c.l, c.p, got, c.want)
-		}
+	if got := h.LeadersAt(1, 14); !reflect.DeepEqual(got, []int{0, 12}) {
+		t.Fatalf("LeadersAt(1, 14) = %v", got)
+	}
+	if got := h.LeadersAt(2, 14); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("LeadersAt(2, 14) = %v", got)
 	}
 	// Stage participants: node members at level 0, node leaders of the
 	// group at level 1, group leaders of the world at level 2.
@@ -124,63 +88,45 @@ func TestHierarchySpanAndGroups(t *testing.T) {
 }
 
 func TestHierarchySharedLevelAndProfile(t *testing.T) {
-	two := TwoLevel(4, NVLinkLike, Aries, 0)
-	cases := []struct {
-		h           Hierarchy
-		a, b, level int
-	}{
-		{threeTier, 0, 0, 0}, {threeTier, 0, 3, 0}, {threeTier, 13, 12, 0}, // same node
-		{threeTier, 0, 4, 1}, {threeTier, 3, 11, 1}, // same group, different node
-		{threeTier, 0, 12, 2}, {threeTier, 11, 23, 2}, // different groups
-		{two, 0, 3, 0}, {two, 1, 2, 0}, {two, 8, 11, 0}, // same node
-		{two, 3, 4, 1}, {two, 1, 9, 1}, {two, 0, 11, 1}, // different nodes
+	h := threeTier
+	cases := []struct{ a, b, level int }{
+		{0, 0, 0}, {0, 3, 0}, {13, 12, 0}, // same node
+		{0, 4, 1}, {3, 11, 1}, // same group, different node
+		{0, 12, 2}, {11, 23, 2}, // different groups
 	}
 	for _, c := range cases {
-		if got := c.h.SharedLevel(c.a, c.b); got != c.level {
-			t.Fatalf("depth-%d SharedLevel(%d, %d) = %d, want %d", c.h.Depth(), c.a, c.b, got, c.level)
+		if got := h.SharedLevel(c.a, c.b); got != c.level {
+			t.Fatalf("SharedLevel(%d, %d) = %d, want %d", c.a, c.b, got, c.level)
 		}
-		if got := c.h.ProfileFor(c.a, c.b).Name; got != c.h.Levels[c.level].Profile.Name {
-			t.Fatalf("depth-%d ProfileFor(%d, %d) = %s, want level-%d profile", c.h.Depth(), c.a, c.b, got, c.level)
+		if got := h.ProfileFor(c.a, c.b).Name; got != h.Levels[c.level].Profile.Name {
+			t.Fatalf("ProfileFor(%d, %d) = %s, want level-%d profile", c.a, c.b, got, c.level)
 		}
 	}
 }
 
 func TestHierarchySerialFactor(t *testing.T) {
-	uncapped := TwoLevel(4, NVLinkLike, Aries, 0)
-	nic2 := TwoLevel(4, NVLinkLike, Aries, 2)
-	cases := []struct {
-		name          string
-		h             Hierarchy
-		level, active int
-		want          float64
-	}{
-		{"one flow under a cap of 1", threeTier, 0, 1, 1},
-		{"4 flows through a cap of 1", threeTier, 0, 4, 4},
-		{"2 flows under a cap of 2", threeTier, 1, 2, 1},
-		{"3 flows through a cap of 2", threeTier, 1, 3, 1.5},
-		{"uncapped outermost level", threeTier, 2, 100, 1},
-		// The per-node NIC factor of a two-level machine: 1 without a cap
-		// or under it, active/nicSerial past it.
-		{"no NIC cap, 1 flow", uncapped, 0, 1, 1},
-		{"no NIC cap, 2 flows", uncapped, 0, 2, 1},
-		{"no NIC cap, 8 flows", uncapped, 0, 8, 1},
-		{"NIC cap 2, 1 flow", nic2, 0, 1, 1},
-		{"NIC cap 2, 2 flows", nic2, 0, 2, 1},
-		{"NIC cap 2, 3 flows", nic2, 0, 3, 1.5},
-		{"NIC cap 2, 4 flows", nic2, 0, 4, 2},
-		{"NIC cap 2, 8 flows", nic2, 0, 8, 4},
+	h := threeTier
+	if got := h.SerialFactor(0, 1); got != 1 {
+		t.Fatalf("one flow under a cap of 1 = %g, want 1", got)
 	}
-	for _, c := range cases {
-		if got := c.h.SerialFactor(c.level, c.active); got != c.want {
-			t.Fatalf("%s: SerialFactor(%d, %d) = %g, want %g", c.name, c.level, c.active, got, c.want)
-		}
+	if got := h.SerialFactor(0, 4); got != 4 {
+		t.Fatalf("4 flows through a cap of 1 = %g, want 4", got)
+	}
+	if got := h.SerialFactor(1, 2); got != 1 {
+		t.Fatalf("2 flows under a cap of 2 = %g, want 1", got)
+	}
+	if got := h.SerialFactor(1, 3); got != 1.5 {
+		t.Fatalf("3 flows through a cap of 2 = %g, want 1.5", got)
+	}
+	if got := h.SerialFactor(2, 100); got != 1 {
+		t.Fatalf("uncapped level factor = %g, want 1", got)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("active < 1 must panic")
 		}
 	}()
-	nic2.SerialFactor(0, 0)
+	h.SerialFactor(0, 0)
 }
 
 func TestHierarchyIngressFactor(t *testing.T) {

@@ -5,114 +5,119 @@ import (
 	"testing"
 )
 
+// Two-level machines (TwoLevel): nodes of ranksPerNode consecutive ranks
+// priced by the intra profile, every other message by the inter profile.
+
 func TestTopologyNodeMapping(t *testing.T) {
-	topo := Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries}
+	topo := TwoLevel(4, NVLinkLike, Aries, 0)
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if topo.NodeOf(0) != 0 || topo.NodeOf(3) != 0 || topo.NodeOf(4) != 1 || topo.NodeOf(11) != 2 {
-		t.Fatal("NodeOf wrong")
+	nodes := []struct{ rank, node, leader int }{
+		{0, 0, 0}, {3, 0, 0}, {4, 1, 4}, {6, 1, 4}, {11, 2, 8},
 	}
-	if !topo.SameNode(0, 3) || topo.SameNode(3, 4) {
-		t.Fatal("SameNode wrong")
+	for _, c := range nodes {
+		if got := topo.GroupOf(c.rank, 0); got != c.node {
+			t.Fatalf("GroupOf(%d, 0) = %d, want node %d", c.rank, got, c.node)
+		}
+		if got := topo.Leader(c.rank, 0); got != c.leader {
+			t.Fatalf("Leader(%d, 0) = %d, want %d", c.rank, got, c.leader)
+		}
 	}
-	if topo.Leader(6) != 4 || topo.Leader(0) != 0 {
-		t.Fatal("Leader wrong")
+	if got := topo.GroupOf(11, 1); got != 0 {
+		t.Fatalf("GroupOf(11, 1) = %d, want 0 (one machine-wide group)", got)
 	}
-	if topo.ProfileFor(1, 2).Name != "nvlink" {
-		t.Fatal("intra-node message should use the intra profile")
+	if got := topo.Leader(11, 1); got != 0 {
+		t.Fatalf("Leader(11, 1) = %d, want 0", got)
 	}
-	if topo.ProfileFor(1, 9).Name != "aries" {
-		t.Fatal("inter-node message should use the inter profile")
+	pairs := []struct {
+		a, b    int
+		level   int
+		profile string
+	}{
+		{0, 3, 0, "nvlink"}, {1, 2, 0, "nvlink"}, {8, 11, 0, "nvlink"}, // same node
+		{3, 4, 1, "aries"}, {1, 9, 1, "aries"}, {0, 11, 1, "aries"}, // different nodes
+	}
+	for _, c := range pairs {
+		if got := topo.SharedLevel(c.a, c.b); got != c.level {
+			t.Fatalf("SharedLevel(%d, %d) = %d, want %d", c.a, c.b, got, c.level)
+		}
+		if got := topo.ProfileFor(c.a, c.b).Name; got != c.profile {
+			t.Fatalf("ProfileFor(%d, %d) = %s, want %s", c.a, c.b, got, c.profile)
+		}
 	}
 }
 
 func TestTopologyRankEnumeration(t *testing.T) {
-	topo := Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries}
+	topo := TwoLevel(4, NVLinkLike, Aries, 0)
 	// Divisible world.
-	if got := topo.NodeRanks(5, 8); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
-		t.Fatalf("NodeRanks(5, 8) = %v", got)
+	if got := topo.GroupRanks(5, 0, 8); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
+		t.Fatalf("GroupRanks(5, 0, 8) = %v", got)
 	}
-	if got := topo.LeaderRanks(8); !reflect.DeepEqual(got, []int{0, 4}) {
-		t.Fatalf("LeaderRanks(8) = %v", got)
+	if got := topo.LeadersAt(0, 8); !reflect.DeepEqual(got, []int{0, 4}) {
+		t.Fatalf("LeadersAt(0, 8) = %v", got)
 	}
 	// Ragged world: the last node is smaller.
-	if got := topo.NodeRanks(9, 10); !reflect.DeepEqual(got, []int{8, 9}) {
-		t.Fatalf("NodeRanks(9, 10) = %v", got)
+	if got := topo.GroupRanks(9, 0, 10); !reflect.DeepEqual(got, []int{8, 9}) {
+		t.Fatalf("GroupRanks(9, 0, 10) = %v", got)
 	}
-	if got := topo.LeaderRanks(10); !reflect.DeepEqual(got, []int{0, 4, 8}) {
-		t.Fatalf("LeaderRanks(10) = %v", got)
+	if got := topo.LeadersAt(0, 10); !reflect.DeepEqual(got, []int{0, 4, 8}) {
+		t.Fatalf("LeadersAt(0, 10) = %v", got)
 	}
-	if topo.Nodes(10) != 3 || topo.Nodes(8) != 2 || topo.Nodes(1) != 1 {
-		t.Fatal("Nodes wrong")
+	// Node counts are the number of node leaders.
+	for _, c := range []struct{ p, nodes int }{{10, 3}, {8, 2}, {1, 1}} {
+		if got := len(topo.LeadersAt(0, c.p)); got != c.nodes {
+			t.Fatalf("%d ranks: %d nodes, want %d", c.p, got, c.nodes)
+		}
+	}
+	// The outer level is one group spanning the world.
+	if got := topo.GroupRanks(2, 1, 6); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("GroupRanks(2, 1, 6) = %v", got)
+	}
+	if got := topo.LeadersAt(1, 10); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("LeadersAt(1, 10) = %v", got)
 	}
 }
 
 func TestTopologyValidate(t *testing.T) {
-	if err := (Topology{RanksPerNode: 0, Intra: NVLinkLike, Inter: Aries}).Validate(); err == nil {
-		t.Fatal("RanksPerNode=0 must fail validation")
+	if err := TwoLevel(0, NVLinkLike, Aries, 0).Validate(); err == nil {
+		t.Fatal("ranksPerNode=0 must fail validation")
 	}
-	if err := (Topology{RanksPerNode: 2, Inter: Aries}).Validate(); err == nil {
+	if err := TwoLevel(2, Profile{}, Aries, 0).Validate(); err == nil {
 		t.Fatal("unnamed intra profile must fail validation")
 	}
-}
-
-func TestNVLinkLikeProfile(t *testing.T) {
-	p, err := ProfileByName("nvlink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Alpha >= Aries.Alpha || p.BetaPerByte >= Aries.BetaPerByte {
-		t.Fatal("nvlink must be strictly cheaper than aries in both α and β")
+	if err := TwoLevel(2, NVLinkLike, Profile{}, 0).Validate(); err == nil {
+		t.Fatal("unnamed inter profile must fail validation")
 	}
 }
 
 func TestNICFactor(t *testing.T) {
-	uncapped := Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries}
+	uncapped := TwoLevel(4, NVLinkLike, Aries, 0)
 	for _, active := range []int{1, 2, 8} {
-		if got := uncapped.NICFactor(active); got != 1 {
-			t.Fatalf("NICSerial=0 active=%d: factor %g, want 1", active, got)
+		if got := uncapped.SerialFactor(0, active); got != 1 {
+			t.Fatalf("nicSerial=0 active=%d: factor %g, want 1", active, got)
 		}
 	}
-	capped := Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries, NICSerial: 2}
+	capped := TwoLevel(4, NVLinkLike, Aries, 2)
 	cases := []struct {
 		active int
 		want   float64
 	}{{1, 1}, {2, 1}, {3, 1.5}, {4, 2}, {8, 4}}
 	for _, tc := range cases {
-		if got := capped.NICFactor(tc.active); got != tc.want {
-			t.Fatalf("NICSerial=2 active=%d: factor %g, want %g", tc.active, got, tc.want)
+		if got := capped.SerialFactor(0, tc.active); got != tc.want {
+			t.Fatalf("nicSerial=2 active=%d: factor %g, want %g", tc.active, got, tc.want)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NICFactor(0) should panic")
+			t.Fatal("SerialFactor(0, 0) should panic")
 		}
 	}()
-	capped.NICFactor(0)
+	capped.SerialFactor(0, 0)
 }
 
 func TestValidateRejectsNegativeNICSerial(t *testing.T) {
-	topo := Topology{RanksPerNode: 2, Intra: NVLinkLike, Inter: Aries, NICSerial: -1}
-	if err := topo.Validate(); err == nil {
-		t.Fatal("negative NICSerial must fail validation")
+	if err := TwoLevel(2, NVLinkLike, Aries, -1).Validate(); err == nil {
+		t.Fatal("negative nicSerial must fail validation")
 	}
-}
-
-func TestContendedTransferTime(t *testing.T) {
-	p := Profile{Name: "x", Alpha: 1e-6, BetaPerByte: 1e-9, SoftwareOverhead: 1e-7, SoftwarePerByte: 1e-10}
-	bytes := 1000
-	want := p.Alpha + p.SoftwareOverhead + (p.BetaPerByte+p.SoftwarePerByte)*float64(bytes)*3
-	if got := p.ContendedTransferTime(bytes, 3); got != want {
-		t.Fatalf("ContendedTransferTime = %g, want %g", got, want)
-	}
-	if got, want := p.ContendedTransferTime(bytes, 1), p.TransferTime(bytes); got != want {
-		t.Fatalf("factor-1 contended time %g != TransferTime %g", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("factor < 1 should panic")
-		}
-	}()
-	p.ContendedTransferTime(bytes, 0.5)
 }
