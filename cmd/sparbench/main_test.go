@@ -32,7 +32,7 @@ func TestRunHierSweepTiny(t *testing.T) {
 
 func TestRunTraceTiny(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-trace", "-n", "1024", "-p", "4"}, &buf); err != nil {
+	if err := run([]string{"-sweep", "trace", "-n", "1024", "-p", "4"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "message timeline") {
@@ -49,8 +49,8 @@ func TestRunCSVAndErrors(t *testing.T) {
 	if !strings.Contains(buf.String(), "algorithm,P") {
 		t.Fatalf("want CSV header, got:\n%s", buf.String())
 	}
-	if err := run([]string{"-sweep", "bogus"}, &buf); err == nil {
-		t.Fatal("unknown sweep must error")
+	if err := run([]string{"-sweep", "bogus"}, &buf); err == nil || !strings.Contains(err.Error(), "overlapwall | trace") {
+		t.Fatalf("unknown sweep must error and list the registry, got %v", err)
 	}
 	if err := run([]string{"-sweep", "nodes", "-profile", "bogus"}, &buf); err == nil {
 		t.Fatal("unknown profile must error")
@@ -58,6 +58,29 @@ func TestRunCSVAndErrors(t *testing.T) {
 	// Regression: -rpn 0 used to hang in Pow2Range(0, maxp).
 	if err := run([]string{"-sweep", "hier", "-rpn", "0"}, &buf); err == nil {
 		t.Fatal("rpn < 1 must error")
+	}
+	// Regression: -json used to be ignored by the sweeps without a JSON
+	// document, printing the table and exiting 0.
+	tiny := []string{"-n", "1024", "-p", "2", "-maxp", "8", "-gens", "1", "-runs", "1", "-json"}
+	for _, sw := range []string{"nodes", "density", "hier", "hierdsar", "trace"} {
+		err := run(append([]string{"-sweep", sw}, tiny...), &buf)
+		if err == nil || !strings.Contains(err.Error(), sw) {
+			t.Errorf("-sweep %s -json: want an error naming the sweep, got %v", sw, err)
+		}
+	}
+	// Regression: non-positive sizes used to panic deep in the simulator.
+	for _, args := range [][]string{
+		{"-sweep", "density", "-p", "0"},
+		{"-sweep", "nodes", "-n", "0"},
+		{"-sweep", "trace", "-n", "1024", "-p", "0"},
+		{"-sweep", "nodes", "-maxp", "0"},
+		{"-sweep", "nodes", "-gens", "0"},
+		{"-sweep", "overlapwall", "-runs", "-1"},
+	} {
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "must be >= 1") {
+			t.Errorf("%v: want a flag error, got %v", args, err)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -157,22 +156,7 @@ func writeObs(hub *obs.Obs, tracePath, metricsPath string) error {
 // a live run and a replay of its trace must produce identical output.
 func emitRow(w io.Writer, row experiments.AdaptRow, jsonOut bool) error {
 	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(row)
+		return report.WriteJSON(w, row)
 	}
-	tb := report.NewTable("workload", "N", "P", "calls", "k-range", "static-uniform", "static-clustered", "adaptive", "vs-uniform", "vs-best", "switches", "clustered-calls", "final")
-	tb.AddRowRaw(
-		row.Workload, fmt.Sprint(row.N), fmt.Sprint(row.P), fmt.Sprint(row.Calls),
-		fmt.Sprintf("%d..%d", row.KStart, row.KEnd),
-		report.FormatSeconds(row.StaticUniformSim),
-		report.FormatSeconds(row.StaticClusteredSim),
-		report.FormatSeconds(row.AdaptiveSim),
-		fmt.Sprintf("%.3f", row.AdaptiveVsUniform),
-		fmt.Sprintf("%.3f", row.AdaptiveVsBestStatic),
-		fmt.Sprint(row.AdaptiveSwitches),
-		fmt.Sprint(row.AdaptiveClusteredCalls),
-		row.FinalChoice,
-	)
-	return tb.Emit(w, false)
+	return experiments.AdaptTable([]experiments.AdaptRow{row}).Emit(w, false)
 }

@@ -1,12 +1,9 @@
 package data
 
 import (
-	"bytes"
 	"math"
 	"sort"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func smallSparse() *SparseDataset {
@@ -252,82 +249,6 @@ func TestSequenceKeywordSignal(t *testing.T) {
 	}
 	if count(0, 0) <= count(1, 0)*2 {
 		t.Fatalf("keyword 0 rate in class 0 (%g) not >2x class 1 (%g)", count(0, 0), count(1, 0))
-	}
-}
-
-func TestLibSVMRoundTrip(t *testing.T) {
-	d := smallSparse()
-	var buf bytes.Buffer
-	if err := WriteLibSVM(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLibSVM(&buf, d.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != d.Rows() || got.NNZ() != d.NNZ() {
-		t.Fatalf("round trip changed shape: %dx%d nnz=%d", got.Rows(), got.Dim, got.NNZ())
-	}
-	for i := 0; i < d.Rows(); i++ {
-		gi, gv := got.Row(i)
-		di, dv := d.Row(i)
-		for j := range di {
-			if gi[j] != di[j] || gv[j] != dv[j] {
-				t.Fatalf("row %d entry %d mismatch", i, j)
-			}
-		}
-		if got.Label[i] != d.Label[i] {
-			t.Fatalf("row %d label mismatch", i)
-		}
-	}
-}
-
-func TestReadLibSVMValidation(t *testing.T) {
-	cases := map[string]string{
-		"bad label":   "x 1:2\n",
-		"bad feature": "1 12\n",
-		"bad index":   "1 0:3\n",
-		"bad value":   "1 2:x\n",
-		"duplicate":   "1 2:1 2:3\n",
-		"exceeds dim": "1 999:1\n",
-	}
-	for name, text := range cases {
-		if _, err := ReadLibSVM(strings.NewReader(text), 10); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestReadLibSVMInfersDim(t *testing.T) {
-	d, err := ReadLibSVM(strings.NewReader("1 3:1 7:2\n-1 1:5\n# comment\n\n"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Dim != 7 || d.Rows() != 2 {
-		t.Fatalf("dim=%d rows=%d, want 7, 2", d.Dim, d.Rows())
-	}
-	idx, val := d.Row(0)
-	if idx[0] != 2 || val[1] != 2 {
-		t.Fatal("0-based conversion wrong")
-	}
-}
-
-func TestQuickLibSVMRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		cfg := SparseConfig{Rows: 20, Dim: 50, NNZPerRow: 5, NoiseRate: 0, Seed: seed}
-		d := SyntheticSparse(cfg)
-		var buf bytes.Buffer
-		if err := WriteLibSVM(&buf, d); err != nil {
-			return false
-		}
-		got, err := ReadLibSVM(&buf, d.Dim)
-		if err != nil || got.NNZ() != d.NNZ() || got.Rows() != d.Rows() {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,8 +4,7 @@
 // replaced by a deterministic synthetic generator matching the property
 // the experiment depends on: per-sample feature sparsity for the linear
 // classification tasks, class-conditional structure for the vision tasks,
-// and token-sequence structure for the language tasks. A LibSVM-format
-// reader/writer is included for interoperability with the real datasets.
+// and token-sequence structure for the language tasks.
 package data
 
 import (

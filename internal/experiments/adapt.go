@@ -8,6 +8,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/stream"
@@ -55,6 +56,27 @@ type AdaptRow struct {
 	AdaptiveSwitches       int    `json:"adaptive_switches"`
 	AdaptiveClusteredCalls int    `json:"adaptive_clustered_calls"`
 	FinalChoice            string `json:"final_choice"`
+}
+
+// AdaptTable renders adaptation-cell rows as the table the adapt and
+// adaptdiv sweeps of cmd/sparbench and cmd/sparreplay print.
+func AdaptTable(rows []AdaptRow) *report.Table {
+	tb := report.NewTable("workload", "N", "P", "calls", "k-range", "static-uniform", "static-clustered", "adaptive", "vs-uniform", "vs-best", "switches", "clustered-calls", "final")
+	for _, r := range rows {
+		tb.AddRowRaw(
+			r.Workload, fmt.Sprint(r.N), fmt.Sprint(r.P), fmt.Sprint(r.Calls),
+			fmt.Sprintf("%d..%d", r.KStart, r.KEnd),
+			report.FormatSeconds(r.StaticUniformSim),
+			report.FormatSeconds(r.StaticClusteredSim),
+			report.FormatSeconds(r.AdaptiveSim),
+			fmt.Sprintf("%.3f", r.AdaptiveVsUniform),
+			fmt.Sprintf("%.3f", r.AdaptiveVsBestStatic),
+			fmt.Sprint(r.AdaptiveSwitches),
+			fmt.Sprint(r.AdaptiveClusteredCalls),
+			r.FinalChoice,
+		)
+	}
+	return tb
 }
 
 // RunAdaptCell measures one scenario cell: the schedule generated under

@@ -3,10 +3,12 @@
 // quantiles (the paper's micro-benchmark methodology, §8.1: "we conduct
 // five experiments with newly generated data, while running each one for
 // ten times ... we state the 25 and 75 percentage quantiles"), aligned
-// table printing, CSV output, and geometric parameter sweeps.
+// table printing, CSV and indented-JSON output, and geometric parameter
+// sweeps.
 package report
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -157,6 +159,15 @@ func (t *Table) Emit(w io.Writer, csv bool) error {
 	}
 	t.Fprint(w)
 	return nil
+}
+
+// WriteJSON writes v as two-space-indented JSON followed by a newline —
+// the byte format of every committed BENCH document and of the cmd tools'
+// -json output.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // FormatSeconds renders a duration in seconds with an adaptive unit.

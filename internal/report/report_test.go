@@ -113,6 +113,21 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+func TestWriteJSON(t *testing.T) {
+	var buf bytes.Buffer
+	doc := struct {
+		ID    string `json:"id"`
+		Cells []int  `json:"cells"`
+	}{"BENCH_X", []int{1, 2}}
+	if err := WriteJSON(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"id\": \"BENCH_X\",\n  \"cells\": [\n    1,\n    2\n  ]\n}\n"
+	if buf.String() != want {
+		t.Fatalf("WriteJSON = %q, want %q", buf.String(), want)
+	}
+}
+
 func TestFormatSeconds(t *testing.T) {
 	cases := map[float64]string{
 		0:      "0",

@@ -9,7 +9,8 @@
 # payload decoder for 5 s (FuzzDecodePayload: bytes from other processes
 # must never crash or exhaust memory), prove the
 # record/replay contract end to end (record a scenario trace with
-# sparreplay, replay it through sparbench, diff the rows byte for byte),
+# sparreplay, replay it through sparreplay -replay, diff the rows byte for
+# byte),
 # prove the observability contract the same way (live vs replay Perfetto
 # exports byte-identical, the pinned lstm export matching its committed
 # golden under internal/experiments/testdata),
@@ -90,7 +91,7 @@ trap 'rm -f "$tmp_bench" "$tmp_bench3" "$tmp_bench4" "$tmp_bench5" "$tmp_bench7"
 echo "== replay determinism (record a scenario trace, replay it, diff against the live run)"
 go run ./cmd/sparreplay -record -scenario clustered -out "$tmp_replay/t.trace"
 go run ./cmd/sparreplay -scenario clustered -json > "$tmp_replay/live.json"
-go run ./cmd/sparbench -replay "$tmp_replay/t.trace" -json > "$tmp_replay/replay.json"
+go run ./cmd/sparreplay -replay "$tmp_replay/t.trace" -json > "$tmp_replay/replay.json"
 if ! cmp -s "$tmp_replay/live.json" "$tmp_replay/replay.json"; then
   echo "replaying the recorded trace diverged from the live run:" >&2
   diff "$tmp_replay/live.json" "$tmp_replay/replay.json" >&2 || true
